@@ -1,6 +1,5 @@
 #include "engine/exec/agg_partials.h"
 
-#include <cstring>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -163,12 +162,12 @@ Status ClonePartialInto(const std::vector<ColumnarAggSpec>& specs,
   dst->builtin = src.builtin;
   for (size_t i = 0; i < specs.size(); ++i) {
     if (specs[i].kind != AggregateSpec::Kind::kUdf) continue;
-    const size_t bytes = specs[i].udaf->RelocatableStateSize();
-    if (bytes == 0) {
+    if (specs[i].udaf->RelocatableStateSize() == 0) {
       return Status::Internal(specs[i].udaf->name() +
                               " state is not relocatable; cannot clone");
     }
-    std::memcpy(dst->udf_states[i], src.udf_states[i], bytes);
+    NLQ_RETURN_IF_ERROR(
+        specs[i].udaf->Merge(dst->udf_states[i], src.udf_states[i]));
   }
   return Status::OK();
 }

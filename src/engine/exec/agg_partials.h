@@ -6,6 +6,7 @@
 
 #include "common/memory_tracker.h"
 #include "common/status.h"
+#include "engine/exec/aggregate_state.h"
 #include "engine/exec/column_stream.h"
 #include "engine/exec/columnar_aggregate_node.h"
 #include "storage/value.h"
@@ -19,21 +20,12 @@ namespace nlq::engine::exec {
 /// the exact same code — identical code is the cheapest proof of
 /// bit-identical results (see DESIGN.md section 13).
 
-/// Builtin aggregate state; field-for-field the same struct (and the
-/// same update rules) as the row path's, so both paths stay
-/// byte-identical — see hash_aggregate_node.cc.
-struct BuiltinAggState {
-  double sum = 0.0;
-  int64_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  bool seen = false;
-};
-
-/// One morsel's partial aggregation state (the row path keeps the same
-/// triple per hash-table group; here there is exactly one global
-/// group). Movable, not copyable: UDF state lives in owned heap
-/// segments (deep-copy via ClonePartialInto).
+/// One morsel's partial aggregation state. Builtins use the row path's
+/// own BuiltinAggState (aggregate_state.h), so both paths stay
+/// byte-identical; the row path keeps the same triple per hash-table
+/// group, here there is exactly one global group. Movable, not
+/// copyable: UDF state lives in owned heap segments (deep-copy via
+/// ClonePartialInto).
 struct PartialState {
   std::vector<BuiltinAggState> builtin;
   std::vector<std::unique_ptr<udf::HeapSegment>> heaps;
@@ -68,10 +60,11 @@ Status MergePartial(const std::vector<ColumnarAggSpec>& specs,
                     PartialState* dst, const PartialState* src);
 
 /// Deep copy: Init-s `dst` fresh and transplants `src` into it —
-/// builtin states by assignment, UDF states by memcpy of their
-/// relocatable block. Fails with Internal if any UDF spec's state is
-/// not relocatable (AggregateUdf::RelocatableStateSize == 0); callers
-/// gate on MaintainableSpecs first.
+/// builtin states by assignment, UDF states by merging `src` into the
+/// fresh (empty) state, which copies a relocatable state. Fails with
+/// Internal if any UDF spec's state is not relocatable
+/// (AggregateUdf::RelocatableStateSize == 0); callers gate on
+/// MaintainableSpecs first.
 Status ClonePartialInto(const std::vector<ColumnarAggSpec>& specs,
                         MemoryTracker* memory, const PartialState& src,
                         PartialState* dst);

@@ -20,6 +20,8 @@ namespace nlq::engine::exec {
 /// the ROW-phase argument evaluation differs (interpreted Datums vs
 /// compiled bytecode registers).
 
+/// The one builtin aggregate state (SUM/COUNT/MIN/MAX/AVG), also used
+/// by the columnar partials in agg_partials.h.
 struct BuiltinAggState {
   double sum = 0.0;
   int64_t count = 0;

@@ -35,8 +35,10 @@ bool AnyBitSet(const std::vector<uint64_t>& words) {
 /// row-gather and span-copy entry points share every operator loop —
 /// and therefore produce bit-identical results by construction.
 template <typename Loader>
-void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* regs,
-                Loader load) {
+Status RunProgram(const CompiledExpr& prog, size_t n,
+                  std::vector<ExprVM::Reg>* regs,
+                  std::vector<udf::ArgSpan>* call_args,
+                  const QueryContext* ctx, Loader load) {
   if (regs->size() < prog.num_regs()) regs->resize(prog.num_regs());
   const size_t words = NullBitmapWords(n);
 
@@ -420,15 +422,38 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         }
         break;
       }
+      case OpCode::kCallUdf: {
+        const UdfCall& call = prog.calls()[ins.slot];
+        prep(dst, ins.type);
+        call_args->resize(call.args.size());
+        for (size_t k = 0; k < call.args.size(); ++k) {
+          const ExprVM::Reg& a = (*regs)[call.args[k]];
+          udf::ArgSpan& span = (*call_args)[k];
+          span.type = call.arg_types[k];
+          span.d = a.d.data();
+          span.i = a.i.data();
+          span.nulls = a.has_nulls ? a.nulls.data() : nullptr;
+        }
+        udf::ResultSpan result;
+        result.d = dst.d.data();
+        result.i = dst.i.data();
+        result.nulls = dst.nulls.data();
+        NLQ_RETURN_IF_ERROR(call.udf->InvokeSpans(
+            call_args->data(), call_args->size(), n, ctx, &result));
+        dst.has_nulls = result.has_nulls;
+        break;
+      }
     }
   }
+  return Status::OK();
 }
 
 }  // namespace
 
-void ExprVM::EvalRows(const CompiledExpr& prog, const storage::Row* rows,
-                      size_t n) {
-  RunProgram(prog, n, &regs_, [&](const Instr& ins, Reg* dst) {
+Status ExprVM::EvalRows(const CompiledExpr& prog, const storage::Row* rows,
+                        size_t n) {
+  return RunProgram(prog, n, &regs_, &call_args_, ctx_,
+                    [&](const Instr& ins, Reg* dst) {
     const size_t slot = ins.slot;
     if (ins.type == DataType::kDouble) {
       for (size_t r = 0; r < n; ++r) {
@@ -456,9 +481,10 @@ void ExprVM::EvalRows(const CompiledExpr& prog, const storage::Row* rows,
   });
 }
 
-void ExprVM::EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
-                       const std::vector<int>& slot_to_col, size_t n) {
-  RunProgram(prog, n, &regs_, [&](const Instr& ins, Reg* dst) {
+Status ExprVM::EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
+                         const std::vector<int>& slot_to_col, size_t n) {
+  return RunProgram(prog, n, &regs_, &call_args_, ctx_,
+                    [&](const Instr& ins, Reg* dst) {
     const int col = slot_to_col[ins.slot];
     if (ins.type == DataType::kDouble) {
       const double* src = in.doubles[col];
@@ -526,6 +552,7 @@ struct BytecodeBuilder::Value {
   bool is_const = false;
   storage::Datum cval;
   int reg = -1;  // materialized register, -1 until needed
+  bool calls_udf = false;  // computed through a kCallUdf (may fail)
 };
 
 BytecodeBuilder::BytecodeBuilder() = default;
@@ -536,6 +563,10 @@ bool BytecodeBuilder::Valid(ValueId v) const {
 }
 
 DataType BytecodeBuilder::TypeOf(ValueId v) const { return values_[v].type; }
+
+bool BytecodeBuilder::CallsUdf(ValueId v) const {
+  return Valid(v) && values_[v].calls_udf;
+}
 
 BytecodeBuilder::ValueId BytecodeBuilder::Constant(const Datum& v) {
   if (v.type() == DataType::kVarchar) return kInvalidValue;
@@ -633,19 +664,24 @@ BytecodeBuilder::ValueId BytecodeBuilder::EmitOrFold(
     tmp.num_regs_ = k + 1;
     tmp.result_reg_ = instr.dst;
     tmp.result_type_ = type;
+    // Builtin opcodes are total, so the fold cannot fail.
     ExprVM vm;
-    vm.EvalRows(tmp, nullptr, 1);
+    if (!vm.EvalRows(tmp, nullptr, 1).ok()) return kInvalidValue;
     return Constant(BoxRegValue(vm.result(tmp), type, 0));
   }
   size_t k = 0;
+  bool calls_udf = false;
   for (ValueId v : operands) {
     const uint16_t reg = Reg(v);
     if (k == 0) instr.a = reg;
     if (k == 1) instr.b = reg;
     if (k == 2) instr.c = reg;
+    calls_udf = calls_udf || values_[v].calls_udf;
     ++k;
   }
-  return Emit(instr, type);
+  const ValueId out = Emit(instr, type);
+  if (Valid(out)) values_[out].calls_udf = calls_udf;
+  return out;
 }
 
 BytecodeBuilder::ValueId BytecodeBuilder::CastDouble(ValueId v) {
@@ -731,9 +767,10 @@ BytecodeBuilder::ValueId BytecodeBuilder::Binary(BinaryOp op, ValueId l,
     }
     case BinaryOp::kAnd:
     case BinaryOp::kOr: {
-      // Eager evaluation is safe: the compilable subset is pure and
-      // total, so the interpreter's short-circuit order is
-      // unobservable.
+      // The VM evaluates both sides on every lane. That matches the
+      // interpreter's short-circuit only while the right side cannot
+      // fail, so a right side that calls a UDF stays interpreted.
+      if (CallsUdf(r)) return kInvalidValue;
       Instr ins;
       ins.op = op == BinaryOp::kAnd ? OpCode::kAnd : OpCode::kOr;
       return EmitOrFold(ins, DataType::kInt64, {Truth(l), Truth(r)});
@@ -765,14 +802,15 @@ BytecodeBuilder::ValueId BytecodeBuilder::Call1(ScalarFn1 fn, ValueId v) {
 }
 
 BytecodeBuilder::ValueId BytecodeBuilder::Power(ValueId x, ValueId y) {
-  if (!Valid(x) || !Valid(y)) return kInvalidValue;
+  // The interpreter skips y when x is NULL.
+  if (!Valid(x) || !Valid(y) || CallsUdf(y)) return kInvalidValue;
   Instr ins;
   ins.op = OpCode::kPow;
   return EmitOrFold(ins, DataType::kDouble, {CastDouble(x), CastDouble(y)});
 }
 
 BytecodeBuilder::ValueId BytecodeBuilder::FMod(ValueId x, ValueId y) {
-  if (!Valid(x) || !Valid(y)) return kInvalidValue;
+  if (!Valid(x) || !Valid(y) || CallsUdf(y)) return kInvalidValue;
   Instr ins;
   ins.op = OpCode::kFmod;
   return EmitOrFold(ins, DataType::kDouble, {CastDouble(x), CastDouble(y)});
@@ -780,7 +818,7 @@ BytecodeBuilder::ValueId BytecodeBuilder::FMod(ValueId x, ValueId y) {
 
 BytecodeBuilder::ValueId BytecodeBuilder::Least(
     const std::vector<ValueId>& args) {
-  if (args.empty()) return kInvalidValue;
+  if (args.empty() || LaterArgCallsUdf(args)) return kInvalidValue;
   ValueId acc = CastDouble(args[0]);
   for (size_t i = 1; i < args.size() && Valid(acc); ++i) {
     Instr ins;
@@ -792,7 +830,7 @@ BytecodeBuilder::ValueId BytecodeBuilder::Least(
 
 BytecodeBuilder::ValueId BytecodeBuilder::Greatest(
     const std::vector<ValueId>& args) {
-  if (args.empty()) return kInvalidValue;
+  if (args.empty() || LaterArgCallsUdf(args)) return kInvalidValue;
   ValueId acc = CastDouble(args[0]);
   for (size_t i = 1; i < args.size() && Valid(acc); ++i) {
     Instr ins;
@@ -802,9 +840,16 @@ BytecodeBuilder::ValueId BytecodeBuilder::Greatest(
   return acc;
 }
 
+bool BytecodeBuilder::LaterArgCallsUdf(const std::vector<ValueId>& args) const {
+  for (size_t i = 1; i < args.size(); ++i) {
+    if (CallsUdf(args[i])) return true;
+  }
+  return false;
+}
+
 BytecodeBuilder::ValueId BytecodeBuilder::Coalesce(
     const std::vector<ValueId>& args) {
-  if (args.empty()) return kInvalidValue;
+  if (args.empty() || LaterArgCallsUdf(args)) return kInvalidValue;
   for (ValueId v : args) {
     if (!Valid(v) || TypeOf(v) != DataType::kDouble) return kInvalidValue;
   }
@@ -826,15 +871,19 @@ BytecodeBuilder::ValueId BytecodeBuilder::Case(
   // All alternatives must share one static numeric type; a mixed CASE
   // returns dynamically-typed Datums the typed register cannot
   // reproduce, so it stays interpreted.
-  for (const auto& [cond, value] : branches) {
-    if (!Valid(cond) || !Valid(value) || TypeOf(value) != result_type) {
+  // Only the first condition runs on every row; a UDF call anywhere
+  // else runs conditionally in the interpreter and stays there.
+  for (size_t i = 0; i < branches.size(); ++i) {
+    const auto& [cond, value] = branches[i];
+    if (!Valid(cond) || !Valid(value) || TypeOf(value) != result_type ||
+        (i > 0 && CallsUdf(cond)) || CallsUdf(value)) {
       return kInvalidValue;
     }
   }
   ValueId acc = else_value;
   if (acc == kInvalidValue) {
     acc = Constant(Datum::Null(result_type));
-  } else if (TypeOf(acc) != result_type) {
+  } else if (TypeOf(acc) != result_type || CallsUdf(acc)) {
     return kInvalidValue;
   }
   for (size_t i = branches.size(); i-- > 0 && Valid(acc);) {
@@ -846,6 +895,25 @@ BytecodeBuilder::ValueId BytecodeBuilder::Case(
   return acc;
 }
 
+BytecodeBuilder::ValueId BytecodeBuilder::CallUdf(
+    const udf::ScalarUdf* udf, const std::vector<ValueId>& args) {
+  if (udf->return_type() == DataType::kVarchar) return kInvalidValue;
+  UdfCall call;
+  call.udf = udf;
+  for (ValueId v : args) {
+    if (!Valid(v)) return kInvalidValue;
+    call.args.push_back(Reg(v));
+    call.arg_types.push_back(TypeOf(v));
+  }
+  Instr ins;
+  ins.op = OpCode::kCallUdf;
+  ins.slot = static_cast<uint32_t>(calls_.size());
+  calls_.push_back(std::move(call));
+  const ValueId out = Emit(ins, udf->return_type());
+  if (Valid(out)) values_[out].calls_udf = true;
+  return out;
+}
+
 namespace {
 
 void AppendBytes(std::string* key, const void* p, size_t size) {
@@ -853,6 +921,7 @@ void AppendBytes(std::string* key, const void* p, size_t size) {
 }
 
 std::string SerializeProgram(const std::vector<Instr>& instrs,
+                             const std::vector<UdfCall>& calls,
                              uint16_t result_reg, DataType result_type) {
   std::string key;
   key.reserve(instrs.size() * 32 + 8);
@@ -867,6 +936,15 @@ std::string SerializeProgram(const std::vector<Instr>& instrs,
     AppendBytes(&key, &ins.slot, sizeof(ins.slot));
     AppendBytes(&key, &ins.const_d, sizeof(ins.const_d));
     AppendBytes(&key, &ins.const_i, sizeof(ins.const_i));
+  }
+  // A call site is identified by the UDF object itself: the cache is
+  // per Database, and so is the registry that owns the UDFs.
+  for (const UdfCall& call : calls) {
+    AppendBytes(&key, &call.udf, sizeof(call.udf));
+    const uint32_t argc = static_cast<uint32_t>(call.args.size());
+    AppendBytes(&key, &argc, sizeof(argc));
+    AppendBytes(&key, call.args.data(), argc * sizeof(uint16_t));
+    for (const DataType t : call.arg_types) key.push_back(static_cast<char>(t));
   }
   AppendBytes(&key, &result_reg, sizeof(result_reg));
   key.push_back(static_cast<char>(result_type));
@@ -886,8 +964,9 @@ std::shared_ptr<CompiledExpr> BytecodeBuilder::Finish(ValueId root) {
   std::sort(slots_.begin(), slots_.end());
   slots_.erase(std::unique(slots_.begin(), slots_.end()), slots_.end());
   prog->slots_ = std::move(slots_);
-  prog->key_ =
-      SerializeProgram(prog->instrs_, result_reg, prog->result_type_);
+  prog->calls_ = std::move(calls_);
+  prog->key_ = SerializeProgram(prog->instrs_, prog->calls_, result_reg,
+                                prog->result_type_);
   return prog;
 }
 

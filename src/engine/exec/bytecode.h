@@ -10,9 +10,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/query_context.h"
+#include "common/status.h"
 #include "engine/ast.h"
 #include "engine/exec/column_stream.h"
 #include "storage/value.h"
+#include "udf/udf.h"
 
 namespace nlq::engine {
 class BoundExpr;  // engine/expr.h (included by bytecode.cc only)
@@ -32,10 +35,17 @@ using nlq::engine::BoundExpr;
 /// propagate bitmaps (union for strict ops, the SQL three-valued rules
 /// for AND/OR), and consumers skip rows whose result bit is set — the
 /// same skip-row rule the interpreted Datum path implements with
-/// is_null() checks. Every opcode is total (division by zero, sqrt of
-/// a negative, ln of a non-positive all yield NULL, exactly like
-/// expr.cc), so evaluation cannot fail and needs no per-row error
-/// plumbing.
+/// is_null() checks. Every builtin opcode is total (division by zero,
+/// sqrt of a negative, ln of a non-positive all yield NULL, exactly
+/// like expr.cc) and needs no per-row error plumbing. The one opcode
+/// that can fail is kCallUdf: it hands whole registers to a scalar
+/// UDF's InvokeSpans, which may return the UDF's error or observe a
+/// cancel or deadline; evaluation then stops with that status.
+/// Because every lane computes every operand, a call compiles only
+/// where the interpreter also runs it on every row: never in a CASE
+/// result, a later CASE condition, the right side of AND/OR, or an
+/// argument of COALESCE/LEAST/GREATEST after the first (or the second
+/// argument of POWER/MOD), all of which the interpreter may skip.
 enum class OpCode : uint8_t {
   kLoadCol,    // dst <- input slot `slot` (type from instr.type)
   kLoadConst,  // dst <- broadcast constant
@@ -66,11 +76,20 @@ enum class OpCode : uint8_t {
   kGreatest,   // dst.d <- b > a ? b : a; NULL if either is
   kCoalesce,   // dst <- a unless null(a), else b (same-typed lanes)
   kSelect,     // dst <- truth(a) ? b : c (a bool; NULL cond -> c)
+  kCallUdf,    // dst <- scalar UDF call site `slot` (CompiledExpr::calls)
+};
+
+/// A kCallUdf call site: the UDF and its argument registers.
+struct UdfCall {
+  const udf::ScalarUdf* udf = nullptr;
+  std::vector<uint16_t> args;
+  std::vector<storage::DataType> arg_types;  // parallel to args
 };
 
 /// One instruction. `dst`/`a`/`b`/`c` are register numbers; `type` is
 /// the destination's lane type (kDouble or kInt64 — VARCHAR never
-/// compiles); `slot`/const_* are the kLoadCol / kLoadConst payloads.
+/// compiles); `slot`/const_* are the kLoadCol / kLoadConst payloads,
+/// and `slot` is the call-site index for kCallUdf.
 struct Instr {
   OpCode op = OpCode::kLoadConst;
   storage::DataType type = storage::DataType::kDouble;
@@ -98,6 +117,9 @@ class CompiledExpr {
   /// projects exactly these into the columnar scan.
   const std::vector<size_t>& referenced_slots() const { return slots_; }
 
+  /// kCallUdf call sites, indexed by the instruction's `slot`.
+  const std::vector<UdfCall>& calls() const { return calls_; }
+
   /// Byte-serialized program, the compile-cache key: two statements
   /// producing identical instruction streams share one entry.
   const std::string& cache_key() const { return key_; }
@@ -109,6 +131,7 @@ class CompiledExpr {
   uint16_t result_reg_ = 0;
   storage::DataType result_type_ = storage::DataType::kDouble;
   std::vector<size_t> slots_;
+  std::vector<UdfCall> calls_;
   std::string key_;
 };
 
@@ -158,6 +181,12 @@ class BytecodeBuilder {
   /// CASE WHEN chain; branches/else must share one static type.
   ValueId Case(const std::vector<std::pair<ValueId, ValueId>>& branches,
                ValueId else_value, storage::DataType result_type);
+  /// Scalar UDF call over whole registers (InvokeSpans). Never folded,
+  /// even over constant arguments: the call may fail, and it runs at
+  /// execution time exactly as the interpreter runs it. VARCHAR
+  /// results return kInvalidValue, and so does any consumer that would
+  /// run the call only on some rows (see OpCode).
+  ValueId CallUdf(const udf::ScalarUdf* udf, const std::vector<ValueId>& args);
 
   /// Seals the program with `root` as its result. Returns nullptr if
   /// root is invalid.
@@ -174,20 +203,27 @@ class BytecodeBuilder {
   ValueId Truth(ValueId v);
   bool Valid(ValueId v) const;
   storage::DataType TypeOf(ValueId v) const;
+  /// True when v is computed through a kCallUdf.
+  bool CallsUdf(ValueId v) const;
+  bool LaterArgCallsUdf(const std::vector<ValueId>& args) const;
 
   std::vector<Value> values_;
   std::vector<Instr> instrs_;
   size_t num_regs_ = 0;
   std::vector<size_t> slots_;
+  std::vector<UdfCall> calls_;
 };
 
 /// Per-stream evaluation scratch: the register file plus gather
 /// buffers. One VM serves any number of programs/batches; register
 /// storage is sized to the largest (program, batch) seen and reused.
 /// Not thread-safe — each stream owns its VM, mirroring how each row
-/// stream owns its Datum scratch.
+/// stream owns its Datum scratch. `ctx` (optional) is the statement's
+/// QueryContext, which kCallUdf hands to InvokeSpans for polling.
 class ExprVM {
  public:
+  explicit ExprVM(const QueryContext* ctx = nullptr) : ctx_(ctx) {}
+
   /// One register's lanes. Exactly one of d/i is meaningful, by the
   /// instruction's type; null lanes hold 0/0.0.
   struct Reg {
@@ -198,12 +234,16 @@ class ExprVM {
   };
 
   /// Evaluates `prog` over `n` materialized rows (gathering by slot).
-  void EvalRows(const CompiledExpr& prog, const storage::Row* rows, size_t n);
+  /// Fails only through a kCallUdf (the UDF's error, or a cancel or
+  /// deadline it observed).
+  Status EvalRows(const CompiledExpr& prog, const storage::Row* rows,
+                  size_t n);
 
   /// Evaluates `prog` over column spans. `slot_to_col[slot]` maps each
-  /// referenced input slot to its index in `in`'s columns.
-  void EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
-                 const std::vector<int>& slot_to_col, size_t n);
+  /// referenced input slot to its index in `in`'s columns. Fails like
+  /// EvalRows.
+  Status EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
+                   const std::vector<int>& slot_to_col, size_t n);
 
   /// The result register after an Eval call for `prog`.
   const Reg& result(const CompiledExpr& prog) const {
@@ -224,7 +264,9 @@ class ExprVM {
                          uint8_t* keep) const;
 
  private:
+  const QueryContext* ctx_;
   std::vector<Reg> regs_;
+  std::vector<udf::ArgSpan> call_args_;  // kCallUdf scratch
 };
 
 /// Boxes one lane of a VM register as a Datum of `type`.
@@ -251,8 +293,8 @@ class BytecodeCache {
 
 /// Compiles `expr` to bytecode, interning through `cache` when given.
 /// Returns nullptr — interpreted fallback — when the tree contains a
-/// construct the bytecode cannot express (VARCHAR operands, scalar
-/// UDFs, aggregate refs, mixed-type COALESCE/CASE) or when the
+/// construct the bytecode cannot express (VARCHAR operands or results,
+/// aggregate refs, mixed-type COALESCE/CASE) or when the
 /// `expr_compile` failpoint is armed.
 CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache);
 

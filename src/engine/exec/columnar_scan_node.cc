@@ -226,6 +226,7 @@ std::string ColumnarScanNode::annotation() const {
       out += filters_[i].text;
     }
   }
+  if (!constants_note_.empty()) out += ", constants: " + constants_note_;
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
@@ -92,9 +93,16 @@ class ColumnarScanNode : public PlanNode {
   const std::vector<size_t>& slots() const { return slots_; }
   const storage::Schema& schema() const { return table_->schema(); }
 
+  /// EXPLAIN note naming the one-row tables bound as constants into
+  /// this scan's statement (empty: none).
+  void set_constants_note(std::string note) {
+    constants_note_ = std::move(note);
+  }
+
  private:
   const storage::PartitionedTable* table_;
   std::string table_name_;
+  std::string constants_note_;
   std::vector<size_t> slots_;
   std::vector<ColumnFilter> filters_;
   bool use_cache_;

@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "common/metrics.h"
-#include "common/strings.h"
-
 namespace nlq::engine::exec {
 namespace {
 
@@ -12,12 +9,8 @@ using storage::Datum;
 
 class FilterStream : public ExecStream {
  public:
-  FilterStream(ExecStreamPtr input, const BoundExpr* predicate,
-               const CompiledExpr* compiled, const QueryContext* ctx)
-      : input_(std::move(input)),
-        predicate_(predicate),
-        compiled_(compiled),
-        ctx_(ctx) {}
+  FilterStream(ExecStreamPtr input, const BoundExpr* predicate)
+      : input_(std::move(input)), predicate_(predicate) {}
 
   StatusOr<bool> Next(RowBatch* out) override {
     // Pull child batches directly into `out` and compact survivors in
@@ -26,27 +19,14 @@ class FilterStream : public ExecStream {
       NLQ_ASSIGN_OR_RETURN(const bool more, input_->Next(out));
       if (!more) return false;
       const size_t n = out->size();
-      keep_.assign(n, 1);
-      if (compiled_ != nullptr) {
-        vm_.EvalRows(*compiled_, out->rows(), n);
-        vm_.AndResultIntoKeep(*compiled_, n, keep_.data());
-        if (ctx_ != nullptr && ctx_->stats() != nullptr) {
-          ctx_->stats()->rows_vectorized.fetch_add(n,
-                                                   std::memory_order_relaxed);
-        }
-      } else {
-        verdicts_.resize(n);
-        Status error;
-        predicate_->EvalBatch(out->rows(), n, &error, verdicts_.data());
-        NLQ_RETURN_IF_ERROR(error);
-        for (size_t i = 0; i < n; ++i) {
-          const Datum& v = verdicts_[i];
-          if (v.is_null() || v.AsDouble() == 0.0) keep_[i] = 0;
-        }
-      }
+      verdicts_.resize(n);
+      Status error;
+      predicate_->EvalBatch(out->rows(), n, &error, verdicts_.data());
+      NLQ_RETURN_IF_ERROR(error);
       size_t kept = 0;
       for (size_t i = 0; i < n; ++i) {
-        if (!keep_[i]) continue;
+        const Datum& v = verdicts_[i];
+        if (v.is_null() || v.AsDouble() == 0.0) continue;
         if (kept != i) std::swap(out->row(kept), out->row(i));
         ++kept;
       }
@@ -58,23 +38,16 @@ class FilterStream : public ExecStream {
  private:
   ExecStreamPtr input_;
   const BoundExpr* predicate_;
-  const CompiledExpr* compiled_;
-  const QueryContext* ctx_;
   std::vector<Datum> verdicts_;
-  std::vector<uint8_t> keep_;
-  ExprVM vm_;
 };
 
 }  // namespace
 
 FilterNode::FilterNode(PlanNodePtr child, BoundExprPtr predicate,
-                       std::vector<std::string> conjunct_text,
-                       CompiledExprPtr compiled, const QueryContext* ctx)
+                       std::vector<std::string> conjunct_text)
     : PlanNode(std::move(child)),
       predicate_(std::move(predicate)),
-      conjunct_text_(std::move(conjunct_text)),
-      compiled_(std::move(compiled)),
-      ctx_(ctx) {}
+      conjunct_text_(std::move(conjunct_text)) {}
 
 std::string FilterNode::annotation() const {
   std::string out;
@@ -82,16 +55,12 @@ std::string FilterNode::annotation() const {
     if (i > 0) out += " AND ";
     out += conjunct_text_[i];
   }
-  if (compiled_ != nullptr) {
-    out += StringPrintf("; compiled, %zu op(s)", compiled_->num_instructions());
-  }
   return out;
 }
 
 StatusOr<ExecStreamPtr> FilterNode::OpenStreamImpl(size_t s) const {
   NLQ_ASSIGN_OR_RETURN(ExecStreamPtr input, child_->OpenStream(s));
-  return ExecStreamPtr(new FilterStream(std::move(input), predicate_.get(),
-                                        compiled_.get(), ctx_));
+  return ExecStreamPtr(new FilterStream(std::move(input), predicate_.get()));
 }
 
 }  // namespace nlq::engine::exec

@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/query_context.h"
-#include "engine/exec/bytecode.h"
 #include "engine/exec/plan.h"
 #include "engine/expr.h"
 
@@ -16,15 +14,14 @@ namespace nlq::engine::exec {
 /// place. SQL semantics: a row passes when the predicate is non-NULL
 /// and non-zero.
 ///
-/// When the planner compiled the predicate to bytecode, `compiled` is
-/// non-null and each batch runs through the register VM instead of the
-/// expression tree (bit-identical verdicts — same NULL/zero rule).
+/// This is the interpreted row path: the `force_interpreted` oracle
+/// and the fallback for what the columnar pipeline cannot run
+/// (VARCHAR expressions). Compiled predicates run in VectorFilterNode
+/// instead.
 class FilterNode : public PlanNode {
  public:
   FilterNode(PlanNodePtr child, BoundExprPtr predicate,
-             std::vector<std::string> conjunct_text,
-             CompiledExprPtr compiled = nullptr,
-             const QueryContext* ctx = nullptr);
+             std::vector<std::string> conjunct_text);
 
   const char* name() const override { return "Filter"; }
   std::string annotation() const override;
@@ -34,8 +31,6 @@ class FilterNode : public PlanNode {
  private:
   BoundExprPtr predicate_;
   std::vector<std::string> conjunct_text_;
-  CompiledExprPtr compiled_;
-  const QueryContext* ctx_;
 };
 
 }  // namespace nlq::engine::exec

@@ -33,19 +33,34 @@ using storage::PartitionedTable;
 using storage::Row;
 using storage::Schema;
 
+/// One materialized small (model) table of the FROM list.
+struct SmallTable {
+  std::vector<Row> rows;
+  const Schema* schema = nullptr;
+  std::string alias;
+  std::string display;                    // "TABLE AS alias"
+  std::vector<std::string> pushed_texts;  // conjuncts pushed down here
+};
+
 /// FROM-clause resolution: the first table drives the parallel scan;
-/// the remaining (small model) tables are materialized for the cross
-/// product.
+/// the remaining (small model) tables are materialized, pre-filtered
+/// by WHERE pushdown, and then either bound as constants (one row
+/// left) or cross-joined.
 struct FromInputs {
   PartitionedTable* driver = nullptr;
-  std::vector<std::vector<Row>> small_tables;
-  std::vector<const Schema*> small_schemas;
-  std::vector<std::string> small_aliases;
-  BindingScope scope;
-  BoundExprPtr residual_where;  // WHERE after pushdown (may be null)
+  // Materialized small tables in FROM order; after BindFromScope only
+  // the cross-joined ones remain.
+  std::vector<SmallTable> small;
 
-  std::vector<std::vector<std::string>> pushed_texts;  // per small table
+  BindingScope scope;
+  std::vector<const Expr*> residual;  // WHERE conjuncts not pushed down
   std::vector<std::string> residual_texts;
+  BoundExprPtr residual_where;        // residual, bound (may be null)
+
+  // EXPLAIN notes: tables bound as constants, and (when set) the table
+  // whose pushdown left no rows, which empties the whole join.
+  std::string constants_note;
+  std::string empty_join_note;
 };
 
 StatusOr<FromInputs> PrepareFrom(const SelectStatement& select,
@@ -54,17 +69,17 @@ StatusOr<FromInputs> PrepareFrom(const SelectStatement& select,
   for (size_t t = 0; t < select.from.size(); ++t) {
     NLQ_ASSIGN_OR_RETURN(PartitionedTable * table,
                          catalog.GetTable(select.from[t].table_name));
-    inputs.scope.AddTable(select.from[t].alias, &table->schema());
     if (t == 0) {
       inputs.driver = table;
     } else {
-      NLQ_ASSIGN_OR_RETURN(std::vector<Row> rows, table->ReadAllRows());
-      inputs.small_tables.push_back(std::move(rows));
-      inputs.small_schemas.push_back(&table->schema());
-      inputs.small_aliases.push_back(select.from[t].alias);
+      SmallTable small;
+      NLQ_ASSIGN_OR_RETURN(small.rows, table->ReadAllRows());
+      small.schema = &table->schema();
+      small.alias = select.from[t].alias;
+      small.display = select.from[t].table_name + " AS " + small.alias;
+      inputs.small.push_back(std::move(small));
     }
   }
-  inputs.pushed_texts.resize(inputs.small_tables.size());
   return inputs;
 }
 
@@ -83,8 +98,8 @@ void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
 /// cross-joined with a k-row model table k times under `Lj.j = j`
 /// predicates — would enumerate k^k combinations per X row. This is
 /// the cross-join analogue of the paper's Section 3.6 join
-/// optimizations. The remaining conjuncts are bound against the full
-/// scope into `inputs->residual_where`.
+/// optimizations. The remaining conjuncts are collected in
+/// `inputs->residual`.
 Status ApplyWherePushdown(const SelectStatement& select,
                           const udf::UdfRegistry* registry,
                           FromInputs* inputs) {
@@ -92,15 +107,15 @@ Status ApplyWherePushdown(const SelectStatement& select,
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(select.where.get(), &conjuncts);
 
-  std::vector<const Expr*> residual;
   for (const Expr* conjunct : conjuncts) {
     if (ContainsAggregate(*conjunct, registry)) {
       return Status::InvalidArgument("aggregates are not allowed in WHERE");
     }
     bool pushed = false;
-    for (size_t s = 0; s < inputs->small_tables.size() && !pushed; ++s) {
+    for (size_t s = 0; s < inputs->small.size() && !pushed; ++s) {
+      SmallTable& small = inputs->small[s];
       BindingScope single;
-      single.AddTable(inputs->small_aliases[s], inputs->small_schemas[s]);
+      single.AddTable(small.alias, small.schema);
       StatusOr<BoundExprPtr> bound = BindRowExpr(*conjunct, single, registry);
       if (!bound.ok()) continue;  // references other tables; try next
       // Pre-filter the materialized rows.
@@ -108,7 +123,7 @@ Status ApplyWherePushdown(const SelectStatement& select,
       Status error;
       EvalContext ctx;
       ctx.error = &error;
-      for (Row& row : inputs->small_tables[s]) {
+      for (Row& row : small.rows) {
         ctx.input = &row;
         const Datum cond = bound.value()->Eval(ctx);
         if (!cond.is_null() && cond.AsDouble() != 0.0) {
@@ -116,26 +131,70 @@ Status ApplyWherePushdown(const SelectStatement& select,
         }
       }
       NLQ_RETURN_IF_ERROR(error);
-      inputs->small_tables[s] = std::move(kept);
-      inputs->pushed_texts[s].push_back(conjunct->ToString());
+      small.rows = std::move(kept);
+      small.pushed_texts.push_back(conjunct->ToString());
       pushed = true;
     }
     if (!pushed) {
-      residual.push_back(conjunct);
+      inputs->residual.push_back(conjunct);
       inputs->residual_texts.push_back(conjunct->ToString());
     }
   }
+  return Status::OK();
+}
 
-  if (!residual.empty()) {
-    // Re-AND the residual conjuncts and bind against the full scope.
-    ExprPtr combined = residual[0]->Clone();
-    for (size_t i = 1; i < residual.size(); ++i) {
-      combined = MakeBinary(BinaryOp::kAnd, std::move(combined),
-                            residual[i]->Clone());
-    }
-    NLQ_ASSIGN_OR_RETURN(inputs->residual_where,
-                         BindRowExpr(*combined, inputs->scope, registry));
+/// "TABLE AS alias: N rows[ after pushdown: p1 AND p2]".
+std::string SmallTableNote(const SmallTable& small) {
+  const size_t rows = small.rows.size();
+  std::string out = StringPrintf("%s: %zu %s", small.display.c_str(), rows,
+                                 rows == 1 ? "row" : "rows");
+  for (size_t i = 0; i < small.pushed_texts.size(); ++i) {
+    out += i == 0 ? " after pushdown: " : " AND ";
+    out += small.pushed_texts[i];
   }
+  return out;
+}
+
+/// Builds the binding scope once pushdown has filtered the small
+/// tables, then binds the residual WHERE against it. With
+/// `bind_constants`, a small table left with exactly one row joins as
+/// constants: its columns bind to that row's values, NULLs included,
+/// and it leaves the cross-join list, so a statement over one driver
+/// table and one-row model tables plans like a single-table statement.
+/// A table left with no rows empties the join (`empty_join_note`).
+/// Tables with two or more rows stay cross-joined.
+Status BindFromScope(const SelectStatement& select, bool bind_constants,
+                     const udf::UdfRegistry* registry, FromInputs* inputs) {
+  if (inputs->driver != nullptr) {
+    inputs->scope.AddTable(select.from[0].alias, &inputs->driver->schema());
+  }
+  std::vector<SmallTable> joined;
+  for (SmallTable& small : inputs->small) {
+    if (bind_constants && small.rows.size() == 1) {
+      if (!inputs->constants_note.empty()) inputs->constants_note += ", ";
+      inputs->constants_note += SmallTableNote(small);
+      inputs->scope.AddConstantTable(small.alias, small.schema,
+                                     std::move(small.rows[0]));
+      continue;
+    }
+    if (bind_constants && small.rows.empty() &&
+        inputs->empty_join_note.empty()) {
+      inputs->empty_join_note = SmallTableNote(small);
+    }
+    inputs->scope.AddTable(small.alias, small.schema);
+    joined.push_back(std::move(small));
+  }
+  inputs->small = std::move(joined);
+
+  if (inputs->residual.empty()) return Status::OK();
+  // Re-AND the residual conjuncts and bind against the full scope.
+  ExprPtr combined = inputs->residual[0]->Clone();
+  for (size_t i = 1; i < inputs->residual.size(); ++i) {
+    combined = MakeBinary(BinaryOp::kAnd, std::move(combined),
+                          inputs->residual[i]->Clone());
+  }
+  NLQ_ASSIGN_OR_RETURN(inputs->residual_where,
+                       BindRowExpr(*combined, inputs->scope, registry));
   return Status::OK();
 }
 
@@ -217,9 +276,9 @@ bool NumericLiteral(const Expr& e, double* v) {
 }
 
 /// Extracts one WHERE conjunct as a scan-pushable simple comparison
-/// (`column <op> numeric-literal`, either operand order) against the
-/// projected slot list. No slot is appended on failure.
-bool TrySimpleSpanFilter(const Expr& conj, const BindingScope& scope,
+/// (`driver-column <op> numeric-literal`, either operand order)
+/// against the projected slot list. No slot is appended on failure.
+bool TrySimpleSpanFilter(const Expr& conj, const FromInputs& inputs,
                          std::vector<size_t>* slots, ColumnFilter* f) {
   if (conj.kind != ExprKind::kBinary) return false;
   const Expr* colref = conj.left.get();
@@ -234,12 +293,14 @@ bool TrySimpleSpanFilter(const Expr& conj, const BindingScope& scope,
       !MirrorComparison(conj.binary_op, swapped, &f->op)) {
     return false;
   }
-  StatusOr<std::pair<size_t, DataType>> resolved =
-      scope.Resolve(colref->table, colref->column);
-  if (!resolved.ok() || resolved.value().second == DataType::kVarchar) {
+  StatusOr<ResolvedColumn> resolved =
+      inputs.scope.Resolve(colref->table, colref->column);
+  if (!resolved.ok() || resolved->constant != nullptr ||
+      resolved->slot >= inputs.driver->schema().num_columns() ||
+      resolved->type == DataType::kVarchar) {
     return false;
   }
-  f->col = ProjectSlot(slots, resolved.value().first);
+  f->col = ProjectSlot(slots, resolved->slot);
   f->text = conj.ToString();
   return true;
 }
@@ -252,24 +313,19 @@ bool TrySimpleSpanFilter(const Expr& conj, const BindingScope& scope,
 /// literal arguments), and the WHERE clause — if any — is a
 /// conjunction of `column <op> numeric-literal` comparisons. Anything
 /// else stays on the row path.
-ColumnarCandidate TryColumnarFastPath(const SelectStatement& select,
-                                      const FromInputs& inputs,
+ColumnarCandidate TryColumnarFastPath(const FromInputs& inputs,
                                       const BoundAggregation& agg,
                                       bool has_having) {
   ColumnarCandidate cand;
-  if (inputs.driver == nullptr || !inputs.small_tables.empty()) return cand;
+  if (inputs.driver == nullptr || !inputs.small.empty()) return cand;
   if (!agg.key_exprs.empty() || has_having) return cand;
 
-  if (select.where != nullptr) {
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(select.where.get(), &conjuncts);
-    for (const Expr* conj : conjuncts) {
-      ColumnFilter f;
-      if (!TrySimpleSpanFilter(*conj, inputs.scope, &cand.slots, &f)) {
-        return cand;
-      }
-      cand.filters.push_back(std::move(f));
+  for (const Expr* conj : inputs.residual) {
+    ColumnFilter f;
+    if (!TrySimpleSpanFilter(*conj, inputs, &cand.slots, &f)) {
+      return cand;
     }
+    cand.filters.push_back(std::move(f));
   }
 
   for (const AggregateSpec& spec : agg.specs) {
@@ -320,12 +376,14 @@ ColumnarCandidate TryColumnarFastPath(const SelectStatement& select,
 
 /// Plan fragment for the general columnar pipeline, assembled by
 /// TryVectorAggregate / TryVectorProjection. `slots` lists the driver
-/// schema slots the scan decodes; `slot_to_col` is its inverse
-/// (schema slot -> span column, -1 for unprojected slots), shared by
-/// every program in the fragment.
+/// schema slots the scan decodes and `cross_cols` the columns each
+/// cross-joined table appends after them; `slot_to_col` maps every
+/// joined-row slot to its span column (-1 for unread slots), shared
+/// by every program in the fragment.
 struct VectorPipeline {
   bool eligible = false;
   std::vector<size_t> slots;
+  std::vector<std::vector<std::pair<size_t, DataType>>> cross_cols;
   std::vector<ColumnFilter> scan_filters;  // cols index into `slots`
   CompiledExprPtr where_prog;  // non-pushable conjuncts, ANDed; or null
   std::vector<std::string> where_texts;
@@ -337,21 +395,45 @@ struct VectorPipeline {
   std::vector<CompiledExprPtr> proj_progs;
 };
 
-/// Splits the WHERE clause for the pipeline: simple comparisons become
-/// scan-pushed span filters, everything else is re-ANDed, bound and
-/// compiled into one VectorFilter program. Returns false when a
-/// residual conjunct does not compile (pipeline ineligible).
-bool SplitWhereForPipeline(const SelectStatement& select,
-                           const FromInputs& inputs,
+/// True when `e` calls a registered scalar UDF (a call that may fail).
+bool CallsScalarUdf(const Expr& e, const udf::UdfRegistry* registry) {
+  if (e.kind == ExprKind::kFunction && registry != nullptr &&
+      registry->FindScalar(e.function_name) != nullptr) {
+    return true;
+  }
+  if (e.left && CallsScalarUdf(*e.left, registry)) return true;
+  if (e.right && CallsScalarUdf(*e.right, registry)) return true;
+  for (const auto& a : e.args) {
+    if (CallsScalarUdf(*a, registry)) return true;
+  }
+  for (const auto& b : e.branches) {
+    if (CallsScalarUdf(*b.condition, registry) ||
+        CallsScalarUdf(*b.result, registry)) {
+      return true;
+    }
+  }
+  return e.else_expr && CallsScalarUdf(*e.else_expr, registry);
+}
+
+/// Splits the residual WHERE conjuncts for the pipeline: simple
+/// comparisons become scan-pushed span filters, everything else is
+/// re-ANDed, bound and compiled into one VectorFilter program. Returns
+/// false when a remaining conjunct does not compile (pipeline
+/// ineligible). The row path runs each conjunct only on rows the ones
+/// before it leave undecided, so when a conjunct calls a UDF nothing is
+/// hoisted into the scan (that would change which rows reach the call)
+/// and the builder compiles the call only in the first conjunct.
+bool SplitWhereForPipeline(const FromInputs& inputs,
                            const udf::UdfRegistry* registry,
                            BytecodeCache* cache, VectorPipeline* p) {
-  if (select.where == nullptr) return true;
-  std::vector<const Expr*> conjuncts;
-  SplitConjuncts(select.where.get(), &conjuncts);
+  bool calls_udf = false;
+  for (const Expr* conj : inputs.residual) {
+    calls_udf = calls_udf || CallsScalarUdf(*conj, registry);
+  }
   std::vector<const Expr*> residual;
-  for (const Expr* conj : conjuncts) {
+  for (const Expr* conj : inputs.residual) {
     ColumnFilter f;
-    if (TrySimpleSpanFilter(*conj, inputs.scope, &p->slots, &f)) {
+    if (!calls_udf && TrySimpleSpanFilter(*conj, inputs, &p->slots, &f)) {
       p->scan_filters.push_back(std::move(f));
     } else {
       residual.push_back(conj);
@@ -374,13 +456,14 @@ bool SplitWhereForPipeline(const SelectStatement& select,
 
 /// Seals the fragment: collects every program's referenced slots into
 /// the scan projection and builds the slot -> span-column map. A
-/// fragment that touches no columns at all (pure COUNT(*), constant
+/// fragment that reads no driver column at all (pure COUNT(*), constant
 /// projections) stays on the row path, which decodes nothing either.
 bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
+  std::vector<size_t> referenced;
   auto collect = [&](const CompiledExprPtr& prog) {
     if (prog == nullptr) return;
     for (const size_t slot : prog->referenced_slots()) {
-      ProjectSlot(&p->slots, slot);
+      referenced.push_back(slot);
     }
   };
   collect(p->where_prog);
@@ -389,10 +472,40 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
     for (const auto& arg : spec.args) collect(arg.prog);
   }
   for (const auto& prog : p->proj_progs) collect(prog);
+
+  // Driver slots go to the scan; a cross-joined table's slots to the
+  // columns its span join appends.
+  const size_t driver_slots = inputs.driver->schema().num_columns();
+  p->cross_cols.assign(inputs.small.size(), {});
+  std::vector<std::pair<size_t, size_t>> cross_slots;  // (table, column)
+  for (const size_t slot : referenced) {
+    if (slot < driver_slots) {
+      ProjectSlot(&p->slots, slot);
+      continue;
+    }
+    size_t t = 0;
+    size_t offset = driver_slots;
+    while (slot >= offset + inputs.small[t].schema->num_columns()) {
+      offset += inputs.small[t++].schema->num_columns();
+    }
+    const size_t col = slot - offset;
+    auto& cols = p->cross_cols[t];
+    const std::pair<size_t, DataType> entry{
+        col, inputs.small[t].schema->column(col).type};
+    if (std::find(cols.begin(), cols.end(), entry) == cols.end()) {
+      cols.push_back(entry);
+    }
+  }
   if (p->slots.empty()) return false;
   p->slot_to_col.assign(inputs.scope.total_slots(), -1);
-  for (size_t i = 0; i < p->slots.size(); ++i) {
-    p->slot_to_col[p->slots[i]] = static_cast<int>(i);
+  int next = 0;
+  for (const size_t slot : p->slots) p->slot_to_col[slot] = next++;
+  size_t offset = driver_slots;
+  for (size_t t = 0; t < inputs.small.size(); ++t) {
+    for (const auto& [col, type] : p->cross_cols[t]) {
+      p->slot_to_col[offset + col] = next++;
+    }
+    offset += inputs.small[t].schema->num_columns();
   }
   p->eligible = true;
   return true;
@@ -403,14 +516,13 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
 /// over span batches (aggregate UDFs keep leading literal arguments as
 /// constants, like the fast path). HAVING and the SELECT projections
 /// operate per group on (keys, aggs) rows and stay interpreted.
-VectorPipeline TryVectorAggregate(const SelectStatement& select,
-                                  const FromInputs& inputs,
+VectorPipeline TryVectorAggregate(const FromInputs& inputs,
                                   const BoundAggregation& agg,
                                   const udf::UdfRegistry* registry,
                                   BytecodeCache* cache) {
   VectorPipeline p;
-  if (inputs.driver == nullptr || !inputs.small_tables.empty()) return p;
-  if (!SplitWhereForPipeline(select, inputs, registry, cache, &p)) {
+  if (inputs.driver == nullptr) return p;
+  if (!SplitWhereForPipeline(inputs, registry, cache, &p)) {
     return VectorPipeline{};
   }
   for (const BoundExprPtr& key : agg.key_exprs) {
@@ -450,14 +562,13 @@ VectorPipeline TryVectorAggregate(const SelectStatement& select,
 
 /// Pipeline form for plain projections: every SELECT item's bound
 /// expression must compile.
-VectorPipeline TryVectorProjection(const SelectStatement& select,
-                                   const FromInputs& inputs,
+VectorPipeline TryVectorProjection(const FromInputs& inputs,
                                    const std::vector<BoundExprPtr>& bound,
                                    const udf::UdfRegistry* registry,
                                    BytecodeCache* cache) {
   VectorPipeline p;
-  if (inputs.driver == nullptr || !inputs.small_tables.empty()) return p;
-  if (!SplitWhereForPipeline(select, inputs, registry, cache, &p)) {
+  if (inputs.driver == nullptr) return p;
+  if (!SplitWhereForPipeline(inputs, registry, cache, &p)) {
     return VectorPipeline{};
   }
   for (const BoundExprPtr& expr : bound) {
@@ -491,43 +602,87 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
   NLQ_ASSIGN_OR_RETURN(FromInputs inputs, PrepareFrom(select, *catalog_));
   NLQ_RETURN_IF_ERROR(ApplyWherePushdown(select, registry_, &inputs));
   const bool is_aggregate = IsAggregateSelect(select, registry_);
-  const bool vectorize = enable_expr_compile_;
+  bool has_star = false;
+  for (const auto& item : select.items) has_star |= item.expr == nullptr;
+  // Constant binding is a vectorized-plan choice: the interpreted
+  // oracle keeps every cross join. SELECT * copies the joined row, so
+  // it keeps them too.
+  NLQ_RETURN_IF_ERROR(BindFromScope(
+      select, enable_expr_compile_ && !has_star, registry_, &inputs));
+  const bool empty_join = !inputs.empty_join_note.empty();
+  const bool vectorize = enable_expr_compile_ && !empty_join;
 
-  // Leaf: parallel partition scan, or the constant input of a
+  // Input chain of the row path, built only when a row-path plan is
+  // chosen: parallel partition scan, or the constant input of a
   // FROM-less query (one empty row; none under aggregation, where an
-  // empty input still finalizes one global group).
-  PlanNodePtr node;
-  if (inputs.driver != nullptr) {
-    node = std::make_unique<ParallelScanNode>(
-        inputs.driver, select.from[0].table_name, batch_capacity_,
-        morsel_rows_, ctx_);
-  } else {
-    node = std::make_unique<ConstantInputNode>(is_aggregate ? 0 : 1);
-  }
-
-  // Cross joins against the materialized (pushdown-filtered) small
-  // tables, in FROM order.
-  for (size_t s = 0; s < inputs.small_tables.size(); ++s) {
-    const std::string display =
-        select.from[s + 1].table_name + " AS " + inputs.small_aliases[s];
-    node = std::make_unique<CrossJoinNode>(
-        std::move(node), std::move(inputs.small_tables[s]),
-        inputs.small_schemas[s]->num_columns(), display,
-        std::move(inputs.pushed_texts[s]));
-  }
-
-  // Residual WHERE. The predicate gets a compiled program when its
-  // tree supports it; the interpreted tree stays as the fallback (and
-  // as EXPLAIN's source text).
-  if (inputs.residual_where != nullptr) {
-    CompiledExprPtr pred;
-    if (vectorize) {
-      pred = CompileExpr(*inputs.residual_where, bytecode_cache_);
+  // empty input still finalizes one global group), or no rows at all
+  // when pushdown emptied a joined table; then the cross joins against
+  // the small tables not bound as constants, in FROM order, and the
+  // residual WHERE.
+  auto row_input = [&]() -> PlanNodePtr {
+    if (empty_join) {
+      return std::make_unique<ConstantInputNode>(0, inputs.empty_join_note);
     }
-    node = std::make_unique<FilterNode>(
-        std::move(node), std::move(inputs.residual_where),
-        std::move(inputs.residual_texts), std::move(pred), ctx_);
-  }
+    PlanNodePtr node;
+    if (inputs.driver != nullptr) {
+      auto scan = std::make_unique<ParallelScanNode>(
+          inputs.driver, select.from[0].table_name, batch_capacity_,
+          morsel_rows_, ctx_);
+      scan->set_constants_note(inputs.constants_note);
+      node = std::move(scan);
+    } else {
+      node = std::make_unique<ConstantInputNode>(is_aggregate ? 0 : 1);
+    }
+    for (SmallTable& small : inputs.small) {
+      node = std::make_unique<CrossJoinNode>(
+          std::move(node), std::move(small.rows), small.schema->num_columns(),
+          std::move(small.display), std::move(small.pushed_texts));
+    }
+    if (inputs.residual_where != nullptr) {
+      node = std::make_unique<FilterNode>(std::move(node),
+                                          std::move(inputs.residual_where),
+                                          std::move(inputs.residual_texts));
+    }
+    return node;
+  };
+
+  // Builds the columnar leaf of a vectorized plan.
+  auto columnar_scan = [&](std::vector<size_t> slots,
+                           std::vector<ColumnFilter> filters, bool use_cache) {
+    auto scan = std::make_unique<ColumnarScanNode>(
+        inputs.driver, select.from[0].table_name, std::move(slots),
+        std::move(filters), use_cache, batch_capacity_, morsel_rows_, ctx_);
+    scan->set_constants_note(inputs.constants_note);
+    return scan;
+  };
+
+  // Input chain of the vector pipeline: the columnar scan, the
+  // cross-joined tables as span joins, then the compiled residual
+  // filter. `scan_out` receives the scan (for cache warming).
+  auto vector_input = [&](VectorPipeline* vp, bool use_cache,
+                          const ColumnarScanNode** scan_out) -> PlanNodePtr {
+    auto scan = columnar_scan(std::move(vp->slots),
+                              std::move(vp->scan_filters), use_cache);
+    if (scan_out != nullptr) *scan_out = scan.get();
+    PlanNodePtr chain = std::move(scan);
+    for (size_t t = 0; t < inputs.small.size(); ++t) {
+      SmallTable& small = inputs.small[t];
+      auto join = std::make_unique<CrossJoinNode>(
+          std::move(chain), std::move(small.rows),
+          small.schema->num_columns(), std::move(small.display),
+          std::move(small.pushed_texts));
+      join->EnableSpans(vp->cross_cols[t], batch_capacity_, ctx_);
+      chain = std::move(join);
+    }
+    if (vp->where_prog != nullptr) {
+      chain = std::make_unique<VectorFilterNode>(
+          std::move(chain), std::move(vp->where_prog), vp->slot_to_col,
+          std::move(vp->where_texts), ctx_);
+    }
+    return chain;
+  };
+
+  PlanNodePtr node;
 
   std::vector<storage::Column> out_cols;
   if (is_aggregate) {
@@ -552,13 +707,12 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       out_cols.push_back({ResultColumnName(select.items[i], i),
                           agg.projections[i]->result_type()});
     }
-    ColumnarCandidate cand =
-        vectorize ? TryColumnarFastPath(select, inputs, agg, has_having)
-                  : ColumnarCandidate();
+    ColumnarCandidate cand = vectorize
+                                 ? TryColumnarFastPath(inputs, agg, has_having)
+                                 : ColumnarCandidate();
     VectorPipeline vp;
     if (!cand.eligible && vectorize) {
-      vp = TryVectorAggregate(select, inputs, agg, registry_,
-                              bytecode_cache_);
+      vp = TryVectorAggregate(inputs, agg, registry_, bytecode_cache_);
     }
     if (cand.eligible) {
       // Maintained-view decision: a global aggregate on the fused fast
@@ -610,10 +764,9 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
         // Replace the row-oriented scan/filter chain with the columnar
         // one; the pushed-down comparisons run on column spans inside
         // the scan.
-        auto scan = std::make_unique<ColumnarScanNode>(
-            inputs.driver, select.from[0].table_name, std::move(cand.slots),
-            std::move(cand.filters), enable_column_cache_, batch_capacity_,
-            morsel_rows_, ctx_);
+        auto scan = columnar_scan(std::move(cand.slots),
+                                  std::move(cand.filters),
+                                  enable_column_cache_);
         auto cagg = std::make_unique<ColumnarAggregateNode>(
             std::move(scan), std::move(cand.specs), std::move(agg.projections),
             select.items.size(), pool_, ctx_);
@@ -624,17 +777,8 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       // General columnar pipeline: GROUP BY keys and aggregate
       // arguments run compiled over span batches; non-pushable WHERE
       // conjuncts run as one compiled VectorFilter program.
-      auto scan = std::make_unique<ColumnarScanNode>(
-          inputs.driver, select.from[0].table_name, std::move(vp.slots),
-          std::move(vp.scan_filters), enable_column_cache_, batch_capacity_,
-          morsel_rows_, ctx_);
-      const ColumnarScanNode* scan_ptr = scan.get();
-      PlanNodePtr chain = std::move(scan);
-      if (vp.where_prog != nullptr) {
-        chain = std::make_unique<VectorFilterNode>(
-            std::move(chain), std::move(vp.where_prog), vp.slot_to_col,
-            std::move(vp.where_texts), ctx_);
-      }
+      const ColumnarScanNode* scan_ptr = nullptr;
+      PlanNodePtr chain = vector_input(&vp, enable_column_cache_, &scan_ptr);
       bool grouped_udf = false;
       if (views_ != nullptr && !agg.key_exprs.empty()) {
         for (const AggregateSpec& spec : agg.specs) {
@@ -653,18 +797,16 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       node = std::move(vagg);
     } else {
       node = std::make_unique<HashAggregateNode>(
-          std::move(node), std::move(agg), has_having,
+          row_input(), std::move(agg), has_having,
           has_having ? select.having->ToString() : std::string(),
           select.items.size(), pool_, batch_capacity_, ctx_);
     }
   } else {
     // Expand the select list (handling bare `*`).
     std::vector<BoundExprPtr> projections;
-    bool has_star = false;
     for (size_t i = 0; i < select.items.size(); ++i) {
       const SelectItem& item = select.items[i];
       if (item.expr == nullptr) {  // bare *
-        has_star = true;
         for (const auto& col : inputs.scope.AllColumns()) {
           out_cols.push_back(col);
         }
@@ -677,7 +819,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
     }
     VectorPipeline vp;
     if (vectorize && !has_star) {
-      vp = TryVectorProjection(select, inputs, projections, registry_,
+      vp = TryVectorProjection(inputs, projections, registry_,
                                bytecode_cache_);
     }
     if (vp.eligible) {
@@ -685,36 +827,18 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       // conjuncts) run compiled over span batches. The scan skips the
       // decoded-column cache — Gather drains the streams in parallel
       // and there is no safe single-threaded warm point here.
-      node = std::make_unique<ColumnarScanNode>(
-          inputs.driver, select.from[0].table_name, std::move(vp.slots),
-          std::move(vp.scan_filters), /*use_cache=*/false, batch_capacity_,
-          morsel_rows_, ctx_);
-      if (vp.where_prog != nullptr) {
-        node = std::make_unique<VectorFilterNode>(
-            std::move(node), std::move(vp.where_prog), vp.slot_to_col,
-            std::move(vp.where_texts), ctx_);
-      }
-      node = std::make_unique<VectorProjectNode>(std::move(node),
-                                                 std::move(vp.proj_progs),
-                                                 std::move(vp.slot_to_col),
-                                                 ctx_);
+      node = std::make_unique<VectorProjectNode>(
+          vector_input(&vp, /*use_cache=*/false, nullptr),
+          std::move(vp.proj_progs), std::move(vp.slot_to_col), ctx_);
     } else if (has_star) {
       // SELECT * forwards the joined row (star mixed with expressions
       // is not supported: star copies the joined row).
-      node = std::make_unique<ProjectNode>(std::move(node));
+      node = std::make_unique<ProjectNode>(row_input());
     } else {
-      // Row path: each projection still gets a compiled program where
-      // its tree supports one; nullptr entries run interpreted.
-      std::vector<CompiledExprPtr> compiled;
-      if (vectorize) {
-        compiled.reserve(projections.size());
-        for (const BoundExprPtr& expr : projections) {
-          compiled.push_back(CompileExpr(*expr, bytecode_cache_));
-        }
-      }
-      node = std::make_unique<ProjectNode>(std::move(node),
-                                           std::move(projections),
-                                           std::move(compiled), ctx_);
+      // Row path: the interpreted oracle, and the fallback for what the
+      // pipeline cannot compile (VARCHAR expressions).
+      node = std::make_unique<ProjectNode>(row_input(),
+                                           std::move(projections));
     }
     if (node->num_streams() > 1) {
       node = std::make_unique<GatherNode>(std::move(node), pool_,

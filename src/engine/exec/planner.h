@@ -59,11 +59,16 @@ struct PhysicalPlan {
 ///
 /// with simple comparisons still pushed into the scan and the
 /// remaining WHERE conjuncts ANDed into one compiled VectorFilter
-/// program. Queries that stay on the row path (joins, ORDER-BY-only
-/// shapes, scalar UDFs next to arithmetic) still get per-expression
-/// compiled programs inside Filter/Project wherever their
-/// subexpressions compile; only genuinely uncompilable constructs run
-/// interpreted.
+/// program; scalar UDF calls compile to span calls. A FROM-list model
+/// table that WHERE pushdown leaves with exactly one row is bound as
+/// constants rather than cross-joined, so the paper's scoring
+/// statements are single-table here; one left with no rows empties
+/// the join (a ConstantInput leaf with no rows); one with two or more
+/// rows becomes a CrossJoin over column spans between the scan and the
+/// rest of the pipeline. Statements that stay on the row path
+/// (SELECT *, VARCHAR expressions) run fully interpreted, and with
+/// expression compilation off every statement does, cross joins
+/// included: that is the differential oracle.
 class Planner {
  public:
   /// `morsel_rows` is the scan-morsel size handed to the leaf nodes
@@ -73,8 +78,9 @@ class Planner {
   /// and memory-hungry operators charge its MemoryTracker. The context
   /// must outlive the plan's execution.
   /// `enable_expr_compile` gates every vectorized choice (the fused
-  /// fast path, the general pipeline, per-node programs): off plans
-  /// the pure interpreted row path, the differential oracle.
+  /// fast path, the general pipeline, constant binding of one-row
+  /// model tables): off plans the pure interpreted row path, the
+  /// differential oracle.
   /// `bytecode_cache` — optional — deduplicates compiled programs
   /// across statements; it must outlive the plan.
   /// `views` — optional — is the maintained-view registry: when set,

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/metrics.h"
 #include "common/strings.h"
 
 namespace nlq::engine::exec {
@@ -13,13 +12,8 @@ using storage::Datum;
 class ProjectStream : public ExecStream {
  public:
   ProjectStream(ExecStreamPtr input,
-                const std::vector<BoundExprPtr>* projections,
-                const std::vector<CompiledExprPtr>* compiled,
-                const QueryContext* ctx)
-      : input_(std::move(input)),
-        projections_(projections),
-        compiled_(compiled),
-        ctx_(ctx) {}
+                const std::vector<BoundExprPtr>* projections)
+      : input_(std::move(input)), projections_(projections) {}
 
   StatusOr<bool> Next(RowBatch* out) override {
     out->Clear();
@@ -33,69 +27,38 @@ class ProjectStream : public ExecStream {
     for (size_t i = 0; i < n; ++i) out->AppendRow().resize(width);
     Status error;
     column_.resize(n);
-    bool any_compiled = false;
     for (size_t c = 0; c < width; ++c) {
-      const CompiledExpr* prog =
-          c < compiled_->size() ? (*compiled_)[c].get() : nullptr;
-      if (prog != nullptr) {
-        vm_.EvalRows(*prog, in_batch_.rows(), n);
-        vm_.BoxResult(*prog, n, column_.data());
-        any_compiled = true;
-      } else {
-        (*projections_)[c]->EvalBatch(in_batch_.rows(), n, &error,
-                                      column_.data());
-      }
+      (*projections_)[c]->EvalBatch(in_batch_.rows(), n, &error,
+                                    column_.data());
       for (size_t i = 0; i < n; ++i) {
         out->row(i)[c] = std::move(column_[i]);
       }
     }
     NLQ_RETURN_IF_ERROR(error);
-    if (any_compiled && ctx_ != nullptr && ctx_->stats() != nullptr) {
-      ctx_->stats()->rows_vectorized.fetch_add(n, std::memory_order_relaxed);
-    }
     return true;
   }
 
  private:
   ExecStreamPtr input_;
   const std::vector<BoundExprPtr>* projections_;
-  const std::vector<CompiledExprPtr>* compiled_;
-  const QueryContext* ctx_;
   RowBatch in_batch_{0};
   std::vector<Datum> column_;
-  ExprVM vm_;
 };
 
 }  // namespace
 
 ProjectNode::ProjectNode(PlanNodePtr child,
-                         std::vector<BoundExprPtr> projections,
-                         std::vector<CompiledExprPtr> compiled,
-                         const QueryContext* ctx)
+                         std::vector<BoundExprPtr> projections)
     : PlanNode(std::move(child)),
       projections_(std::move(projections)),
-      compiled_(std::move(compiled)),
-      pass_through_(false),
-      ctx_(ctx) {}
+      pass_through_(false) {}
 
 ProjectNode::ProjectNode(PlanNodePtr child)
     : PlanNode(std::move(child)), pass_through_(true) {}
 
 std::string ProjectNode::annotation() const {
   if (pass_through_) return "*";
-  std::string out = StringPrintf("%zu column(s)", projections_.size());
-  size_t num_compiled = 0;
-  size_t ops = 0;
-  for (const CompiledExprPtr& prog : compiled_) {
-    if (prog == nullptr) continue;
-    ++num_compiled;
-    ops += prog->num_instructions();
-  }
-  if (num_compiled > 0) {
-    out += StringPrintf("; compiled %zu/%zu, %zu op(s)", num_compiled,
-                        projections_.size(), ops);
-  }
-  return out;
+  return StringPrintf("%zu column(s)", projections_.size());
 }
 
 size_t ProjectNode::output_width() const {
@@ -105,8 +68,7 @@ size_t ProjectNode::output_width() const {
 StatusOr<ExecStreamPtr> ProjectNode::OpenStreamImpl(size_t s) const {
   NLQ_ASSIGN_OR_RETURN(ExecStreamPtr input, child_->OpenStream(s));
   if (pass_through_) return input;  // forward child batches unchanged
-  return ExecStreamPtr(
-      new ProjectStream(std::move(input), &projections_, &compiled_, ctx_));
+  return ExecStreamPtr(new ProjectStream(std::move(input), &projections_));
 }
 
 }  // namespace nlq::engine::exec

@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/query_context.h"
-#include "engine/exec/bytecode.h"
 #include "engine/exec/plan.h"
 #include "engine/expr.h"
 
@@ -15,20 +13,18 @@ namespace nlq::engine::exec {
 /// evaluated column-at-a-time over the batch (EvalBatch), hoisting
 /// the expression-tree dispatch out of the per-row loop.
 ///
-/// When the planner compiled some projections to bytecode, `compiled`
-/// carries one program per column (nullptr entries stay interpreted —
-/// e.g. a scalar-UDF column next to arithmetic ones) and those columns
-/// run through the register VM.
+/// This is the interpreted row path: the `force_interpreted` oracle
+/// and the fallback for what the columnar pipeline cannot run
+/// (VARCHAR expressions, SELECT *). Compiled projections run in
+/// VectorProjectNode instead.
 ///
 /// `SELECT *` uses pass-through mode: input rows are forwarded
 /// unchanged (star mixed with expressions is not supported, matching
 /// the previous executor).
 class ProjectNode : public PlanNode {
  public:
-  /// Projection form. `compiled` is empty or parallel to projections.
-  ProjectNode(PlanNodePtr child, std::vector<BoundExprPtr> projections,
-              std::vector<CompiledExprPtr> compiled = {},
-              const QueryContext* ctx = nullptr);
+  /// Projection form.
+  ProjectNode(PlanNodePtr child, std::vector<BoundExprPtr> projections);
 
   /// Pass-through (`SELECT *`) form.
   explicit ProjectNode(PlanNodePtr child);
@@ -40,9 +36,7 @@ class ProjectNode : public PlanNode {
 
  private:
   std::vector<BoundExprPtr> projections_;
-  std::vector<CompiledExprPtr> compiled_;
   bool pass_through_;
-  const QueryContext* ctx_ = nullptr;
 };
 
 }  // namespace nlq::engine::exec

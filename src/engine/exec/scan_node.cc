@@ -66,11 +66,13 @@ ParallelScanNode::ParallelScanNode(const storage::PartitionedTable* table,
       grid_(BuildMorselGrid(*table, morsel_rows)) {}
 
 std::string ParallelScanNode::annotation() const {
-  return StringPrintf(
+  std::string out = StringPrintf(
       "%s: %llu rows, %zu partitions, batch %zu, morsel %llu (%zu morsel(s))",
       table_name_.c_str(), static_cast<unsigned long long>(table_->num_rows()),
       table_->num_partitions(), batch_capacity_,
       static_cast<unsigned long long>(morsel_rows_), grid_.size());
+  if (!constants_note_.empty()) out += ", constants: " + constants_note_;
+  return out;
 }
 
 size_t ParallelScanNode::output_width() const {
@@ -83,8 +85,8 @@ StatusOr<ExecStreamPtr> ParallelScanNode::OpenStreamImpl(size_t s) const {
       table_->ScanPartitionBatches(m.partition, m.begin, m.end), ctx_));
 }
 
-ConstantInputNode::ConstantInputNode(size_t num_rows)
-    : PlanNode(nullptr), num_rows_(num_rows) {}
+ConstantInputNode::ConstantInputNode(size_t num_rows, std::string note)
+    : PlanNode(nullptr), num_rows_(num_rows), note_(std::move(note)) {}
 
 StatusOr<ExecStreamPtr> ConstantInputNode::OpenStreamImpl(size_t) const {
   return ExecStreamPtr(new ConstantStream(num_rows_));

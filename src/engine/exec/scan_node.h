@@ -2,6 +2,7 @@
 #define NLQ_ENGINE_EXEC_SCAN_NODE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
@@ -31,9 +32,16 @@ class ParallelScanNode : public PlanNode {
   size_t num_streams() const override { return grid_.size(); }
   StatusOr<ExecStreamPtr> OpenStreamImpl(size_t s) const override;
 
+  /// EXPLAIN note naming the one-row tables bound as constants into
+  /// this scan's statement (empty: none).
+  void set_constants_note(std::string note) {
+    constants_note_ = std::move(note);
+  }
+
  private:
   const storage::PartitionedTable* table_;
   std::string table_name_;
+  std::string constants_note_;
   size_t batch_capacity_;
   uint64_t morsel_rows_;
   const QueryContext* ctx_;
@@ -42,19 +50,22 @@ class ParallelScanNode : public PlanNode {
 
 /// Leaf for FROM-less queries: one stream yielding `num_rows` empty
 /// (zero-width) rows — one for `SELECT 1+1`, zero under aggregation
-/// (a global aggregate over no input still finalizes one group).
+/// (a global aggregate over no input still finalizes one group). It
+/// is also the leaf of a join that WHERE pushdown emptied (zero rows,
+/// `note` naming the empty table).
 class ConstantInputNode : public PlanNode {
  public:
-  explicit ConstantInputNode(size_t num_rows);
+  explicit ConstantInputNode(size_t num_rows, std::string note = "no FROM");
 
   const char* name() const override { return "ConstantInput"; }
-  std::string annotation() const override { return "no FROM"; }
+  std::string annotation() const override { return note_; }
   size_t output_width() const override { return 0; }
   size_t num_streams() const override { return 1; }
   StatusOr<ExecStreamPtr> OpenStreamImpl(size_t s) const override;
 
  private:
   size_t num_rows_;
+  std::string note_;
 };
 
 }  // namespace nlq::engine::exec

@@ -55,7 +55,7 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
       query_ctx != nullptr ? query_ctx->memory() : nullptr;
 
   ColumnSpanBatch batch;
-  ExprVM vm;
+  ExprVM vm(query_ctx);
   std::vector<std::vector<Datum>> key_cols(num_keys);
   Row key(num_keys);
   std::vector<GroupState*> group_of;
@@ -69,7 +69,7 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
     const size_t n = batch.rows;
 
     for (size_t k = 0; k < num_keys; ++k) {
-      vm.EvalSpans(*key_progs[k], batch, slot_to_col, n);
+      NLQ_RETURN_IF_ERROR(vm.EvalSpans(*key_progs[k], batch, slot_to_col, n));
       key_cols[k].resize(n);
       vm.BoxResult(*key_progs[k], n, key_cols[k].data());
     }
@@ -102,7 +102,8 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
         arg_regs.resize(args.size());
         for (size_t a = 0; a < args.size(); ++a) {
           if (args[a].prog == nullptr) continue;
-          vm.EvalSpans(*args[a].prog, batch, slot_to_col, n);
+          NLQ_RETURN_IF_ERROR(
+              vm.EvalSpans(*args[a].prog, batch, slot_to_col, n));
           vm.CopyResult(*args[a].prog, n, &arg_regs[a]);
         }
         scratch.resize(args.size());
@@ -122,7 +123,7 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
       // SQL builtin: one argument program; accumulate straight off the
       // result register, skipping NULL lanes like the interpreter.
       const CompiledExpr& prog = *spec_args[i].args[0].prog;
-      vm.EvalSpans(prog, batch, slot_to_col, n);
+      NLQ_RETURN_IF_ERROR(vm.EvalSpans(prog, batch, slot_to_col, n));
       const ExprVM::Reg& res = vm.result(prog);
       const bool is_double = prog.result_type() == DataType::kDouble;
       for (size_t r = 0; r < n; ++r) {

@@ -21,7 +21,8 @@ class VectorProjectStream : public ExecStream {
         programs_(programs),
         slot_to_col_(slot_to_col),
         ctx_(ctx),
-        cols_(programs->size()) {}
+        cols_(programs->size()),
+        vm_(ctx) {}
 
   StatusOr<bool> Next(RowBatch* out) override {
     out->Clear();
@@ -31,10 +32,12 @@ class VectorProjectStream : public ExecStream {
       const size_t n = batch_.rows;
       // Box each program's result right after evaluating it: programs
       // number their registers independently, so the next evaluation
-      // reuses the VM's register file.
+      // reuses the VM's register file. A cancel or deadline is checked
+      // before every program, and inside slow UDF calls per row.
       for (size_t c = 0; c < programs_->size(); ++c) {
         const CompiledExpr& prog = *(*programs_)[c];
-        vm_.EvalSpans(prog, batch_, *slot_to_col_, n);
+        if (ctx_ != nullptr) NLQ_RETURN_IF_ERROR(ctx_->CheckAlive());
+        NLQ_RETURN_IF_ERROR(vm_.EvalSpans(prog, batch_, *slot_to_col_, n));
         cols_[c].resize(n);
         vm_.BoxResult(prog, n, cols_[c].data());
       }

@@ -525,6 +525,17 @@ class ScalarUdfNode : public BoundExpr {
 
   DataType result_type() const override { return udf_->return_type(); }
 
+  int EmitBytecode(exec::BytecodeBuilder* b) const override {
+    std::vector<int> args;
+    args.reserve(args_.size());
+    for (const BoundExprPtr& arg : args_) {
+      const int v = arg->EmitBytecode(b);
+      if (v < 0) return -1;
+      args.push_back(v);
+    }
+    return b->CallUdf(udf_, args);
+  }
+
  private:
   const udf::ScalarUdf* udf_;
   std::vector<BoundExprPtr> args_;
@@ -646,9 +657,12 @@ StatusOr<BoundExprPtr> Bind(const Expr& expr, const BindingScope& scope,
             "column '" + expr.ToString() +
             "' must appear in GROUP BY or inside an aggregate");
       }
-      NLQ_ASSIGN_OR_RETURN(auto slot_type,
+      NLQ_ASSIGN_OR_RETURN(const ResolvedColumn col,
                            scope.Resolve(expr.table, expr.column));
-      return BoundExprPtr(new InputRefNode(slot_type.first, slot_type.second));
+      if (col.constant != nullptr) {
+        return BoundExprPtr(new LiteralNode(*col.constant));
+      }
+      return BoundExprPtr(new InputRefNode(col.slot, col.type));
     }
     case ExprKind::kStar:
       return Status::InvalidArgument("'*' is only valid in COUNT(*)");
@@ -734,14 +748,23 @@ void BoundExpr::EvalBatch(const storage::Row* rows, size_t count,
 // ---------------------------------------------------------------------------
 
 void BindingScope::AddTable(std::string alias, const storage::Schema* schema) {
-  tables_.push_back({std::move(alias), schema, total_slots_});
+  tables_.push_back({std::move(alias), schema, total_slots_, false, {}});
   total_slots_ += schema->num_columns();
 }
 
-StatusOr<std::pair<size_t, DataType>> BindingScope::Resolve(
+void BindingScope::AddConstantTable(std::string alias,
+                                    const storage::Schema* schema,
+                                    storage::Row row) {
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (row[c].is_null()) row[c] = Datum::Null(schema->column(c).type);
+  }
+  tables_.push_back({std::move(alias), schema, 0, true, std::move(row)});
+}
+
+StatusOr<ResolvedColumn> BindingScope::Resolve(
     const std::string& table, const std::string& column) const {
   bool found = false;
-  std::pair<size_t, DataType> result{0, DataType::kDouble};
+  ResolvedColumn result;
   for (const auto& entry : tables_) {
     if (!table.empty() && !EqualsIgnoreCase(entry.alias, table)) continue;
     const auto idx = entry.schema->ColumnIndex(column);
@@ -751,8 +774,12 @@ StatusOr<std::pair<size_t, DataType>> BindingScope::Resolve(
                                      "'");
     }
     found = true;
-    result = {entry.offset + idx.value(),
-              entry.schema->column(idx.value()).type};
+    result.type = entry.schema->column(idx.value()).type;
+    if (entry.constant) {
+      result.constant = &entry.values[idx.value()];
+    } else {
+      result.slot = entry.offset + idx.value();
+    }
   }
   if (!found) {
     const std::string qualified =
@@ -766,6 +793,7 @@ std::vector<storage::Column> BindingScope::AllColumns() const {
   std::vector<storage::Column> cols;
   cols.reserve(total_slots_);
   for (const auto& entry : tables_) {
+    if (entry.constant) continue;
     for (const auto& c : entry.schema->columns()) cols.push_back(c);
   }
   return cols;

@@ -78,8 +78,8 @@ class BoundExpr {
   /// Emits this subtree into `builder` for the vectorized bytecode
   /// path (engine/exec/bytecode.h), returning the builder ValueId of
   /// the result or a negative value when the construct cannot compile
-  /// (the default: scalar UDFs, key/agg refs, VARCHAR operands stay
-  /// interpreted).
+  /// (the default: key/agg refs and VARCHAR operands stay interpreted;
+  /// scalar UDF calls compile to span calls).
   virtual int EmitBytecode(exec::BytecodeBuilder* builder) const {
     (void)builder;
     return -1;
@@ -87,6 +87,14 @@ class BoundExpr {
 };
 
 using BoundExprPtr = std::unique_ptr<BoundExpr>;
+
+/// A resolved column: its slot in the joined row, or — for a table
+/// bound as constants — the value every row sees.
+struct ResolvedColumn {
+  size_t slot = 0;
+  storage::DataType type = storage::DataType::kDouble;
+  const storage::Datum* constant = nullptr;  // non-null: no slot
+};
 
 /// Resolves unqualified/qualified column references against the
 /// concatenated row of one or more FROM tables.
@@ -96,15 +104,22 @@ class BindingScope {
   /// `schema.num_columns()` slots of the joined row.
   void AddTable(std::string alias, const storage::Schema* schema);
 
+  /// Adds a one-row table whose columns bind as constants: they
+  /// resolve to `row`'s values (NULLs typed by the schema) and occupy
+  /// no slot of the joined row.
+  void AddConstantTable(std::string alias, const storage::Schema* schema,
+                        storage::Row row);
+
   /// Resolves `[table.]column`; InvalidArgument if ambiguous,
-  /// NotFound if missing. Returns {slot, type}.
-  StatusOr<std::pair<size_t, storage::DataType>> Resolve(
-      const std::string& table, const std::string& column) const;
+  /// NotFound if missing.
+  StatusOr<ResolvedColumn> Resolve(const std::string& table,
+                                   const std::string& column) const;
 
   /// Total number of slots in the joined row.
   size_t total_slots() const { return total_slots_; }
 
-  /// All (qualified) columns in slot order, for SELECT *.
+  /// All (qualified) columns in slot order, for SELECT *. Constant
+  /// tables have no slots and are not listed.
   std::vector<storage::Column> AllColumns() const;
 
  private:
@@ -112,6 +127,8 @@ class BindingScope {
     std::string alias;
     const storage::Schema* schema;
     size_t offset;
+    bool constant = false;
+    storage::Row values;  // constant tables only
   };
   std::vector<TableEntry> tables_;
   size_t total_slots_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -250,13 +249,11 @@ __attribute__((target("avx2"))) void AccumulateSpansAvx2(
 }  // namespace
 
 void ResetNlqState(NlqState* s) {
-  std::memset(s, 0, sizeof(NlqState));
+  // Only the header: the [0,d) arrays are initialized by SetNlqShape
+  // once d is known, so an empty state touches no array memory.
   s->d = -1;
   s->kind = static_cast<int32_t>(MatrixKind::kLowerTriangular);
-  for (size_t a = 0; a < kMaxUdfDims; ++a) {
-    s->mn[a] = std::numeric_limits<double>::infinity();
-    s->mx[a] = -std::numeric_limits<double>::infinity();
-  }
+  s->n = 0.0;
 }
 
 Status SetNlqShape(NlqState* s, size_t d, MatrixKind kind) {
@@ -267,8 +264,32 @@ Status SetNlqShape(NlqState* s, size_t d, MatrixKind kind) {
   }
   s->d = static_cast<int32_t>(d);
   s->kind = static_cast<int32_t>(kind);
+  for (size_t a = 0; a < d; ++a) {
+    s->l[a] = 0.0;
+    s->mn[a] = std::numeric_limits<double>::infinity();
+    s->mx[a] = -std::numeric_limits<double>::infinity();
+    std::fill_n(s->q[a], d, 0.0);
+  }
   return Status::OK();
 }
+
+namespace {
+
+/// Copies a shaped `src` into `dst`, header and [0,d) parts only — a
+/// state holds about d*d doubles of meaning however large kMaxUdfDims
+/// is.
+void CopyNlqState(NlqState* dst, const NlqState* src) {
+  dst->d = src->d;
+  dst->kind = src->kind;
+  dst->n = src->n;
+  const size_t d = static_cast<size_t>(src->d);
+  std::copy_n(src->l, d, dst->l);
+  std::copy_n(src->mn, d, dst->mn);
+  std::copy_n(src->mx, d, dst->mx);
+  for (size_t a = 0; a < d; ++a) std::copy_n(src->q[a], d, dst->q[a]);
+}
+
+}  // namespace
 
 void NlqAccumulatePoint(NlqState* s, const double* x) {
   const size_t d = static_cast<size_t>(s->d);
@@ -330,7 +351,7 @@ void NlqAccumulateSpans(NlqState* s, const double* const* cols, size_t rows) {
 Status NlqMergeStates(NlqState* dst, const NlqState* src) {
   if (src->d < 0) return Status::OK();  // src saw no rows
   if (dst->d < 0) {
-    std::memcpy(dst, src, sizeof(NlqState));
+    CopyNlqState(dst, src);
     return Status::OK();
   }
   if (dst->d != src->d || dst->kind != src->kind) {

@@ -31,11 +31,14 @@ struct NlqState {
   double q[kMaxUdfDims][kMaxUdfDims];
 };
 
-/// INIT: zeroes the state (d = -1, min/max at +/-inf).
+/// INIT: marks the state empty (d = -1, n = 0). Only the header is
+/// written; the arrays stay untouched until SetNlqShape.
 void ResetNlqState(NlqState* s);
 
-/// Fixes d and kind on the first row; InvalidArgument when d is
-/// outside 1..kMaxUdfDims.
+/// Fixes d and kind on the first row and initializes the [0,d) parts
+/// of the arrays (L and Q to zero, min/max to +/-inf); entries at and
+/// past d are never read. InvalidArgument when d is outside
+/// 1..kMaxUdfDims.
 Status SetNlqShape(NlqState* s, size_t d, MatrixKind kind);
 
 /// ROW: folds one complete (no-NULL) point into `s`. Requires the

@@ -114,7 +114,9 @@ class NlqListUdf : public udf::AggregateUdf {
   }
 
   /// NlqState is a self-contained POD (static_asserted above), so the
-  /// maintained-view registry may memcpy it between heap segments.
+  /// maintained-view registry may clone it into another heap segment
+  /// (Merge into an empty state copies only the header and [0,d)
+  /// parts).
   size_t RelocatableStateSize() const override { return sizeof(NlqState); }
 };
 

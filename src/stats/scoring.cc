@@ -1,5 +1,6 @@
 #include "stats/scoring.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -76,6 +77,25 @@ class LinearRegScoreUdf : public udf::ScalarUdf {
     }
     return Datum::Double(yhat);
   }
+
+  /// Column-at-a-time form of Invoke: each row's sum still adds b0,
+  /// then b_a * x_a in order a = 1..d, so the result is bit-identical.
+  Status InvokeSpans(const udf::ArgSpan* args, size_t num_args, size_t rows,
+                     const QueryContext* ctx,
+                     udf::ResultSpan* out) const override {
+    if (!udf::AllDenseDoubles(args, num_args)) {
+      return ScalarUdf::InvokeSpans(args, num_args, rows, ctx, out);
+    }
+    const size_t d = (num_args - 1) / 2;
+    double* yhat = out->d;
+    std::copy_n(args[d].d, rows, yhat);
+    for (size_t a = 0; a < d; ++a) {
+      const double* b = args[d + 1 + a].d;
+      const double* x = args[a].d;
+      for (size_t r = 0; r < rows; ++r) yhat[r] += b[r] * x[r];
+    }
+    return Status::OK();
+  }
 };
 
 class FaScoreUdf : public udf::ScalarUdf {
@@ -103,6 +123,26 @@ class FaScoreUdf : public udf::ScalarUdf {
     }
     return Datum::Double(score);
   }
+
+  /// Column-at-a-time form of Invoke, bit-identical: each row's score
+  /// starts at 0.0 and adds the d terms in order.
+  Status InvokeSpans(const udf::ArgSpan* args, size_t num_args, size_t rows,
+                     const QueryContext* ctx,
+                     udf::ResultSpan* out) const override {
+    if (!udf::AllDenseDoubles(args, num_args)) {
+      return ScalarUdf::InvokeSpans(args, num_args, rows, ctx, out);
+    }
+    const size_t d = num_args / 3;
+    double* score = out->d;
+    std::fill_n(score, rows, 0.0);
+    for (size_t a = 0; a < d; ++a) {
+      const double* x = args[a].d;
+      const double* mu = args[d + a].d;
+      const double* l = args[2 * d + a].d;
+      for (size_t r = 0; r < rows; ++r) score[r] += (x[r] - mu[r]) * l[r];
+    }
+    return Status::OK();
+  }
 };
 
 class KMeansDistanceUdf : public udf::ScalarUdf {
@@ -129,6 +169,28 @@ class KMeansDistanceUdf : public udf::ScalarUdf {
       dist += diff * diff;
     }
     return Datum::Double(dist);
+  }
+
+  /// Column-at-a-time form of Invoke, bit-identical: each row's sum
+  /// starts at 0.0 and adds the d squared differences in order.
+  Status InvokeSpans(const udf::ArgSpan* args, size_t num_args, size_t rows,
+                     const QueryContext* ctx,
+                     udf::ResultSpan* out) const override {
+    if (!udf::AllDenseDoubles(args, num_args)) {
+      return ScalarUdf::InvokeSpans(args, num_args, rows, ctx, out);
+    }
+    const size_t d = num_args / 2;
+    double* dist = out->d;
+    std::fill_n(dist, rows, 0.0);
+    for (size_t a = 0; a < d; ++a) {
+      const double* x = args[a].d;
+      const double* c = args[d + a].d;
+      for (size_t r = 0; r < rows; ++r) {
+        const double diff = x[r] - c[r];
+        dist[r] += diff * diff;
+      }
+    }
+    return Status::OK();
   }
 };
 
@@ -161,6 +223,38 @@ class ClusterScoreUdf : public udf::ScalarUdf {
     }
     if (best == 0) return Datum::Null(DataType::kInt64);
     return Datum::Int64(static_cast<int64_t>(best));
+  }
+
+  /// Column-at-a-time form of Invoke, bit-identical: per row, the
+  /// distances are scanned j = 1..k with the same strict-win rule and
+  /// NULLs skipped.
+  Status InvokeSpans(const udf::ArgSpan* args, size_t num_args, size_t rows,
+                     const QueryContext* ctx,
+                     udf::ResultSpan* out) const override {
+    for (size_t j = 0; j < num_args; ++j) {
+      if (args[j].type != DataType::kDouble) {
+        return ScalarUdf::InvokeSpans(args, num_args, rows, ctx, out);
+      }
+    }
+    std::vector<double> best_dist(rows,
+                                  std::numeric_limits<double>::infinity());
+    int64_t* best = out->i;
+    std::fill_n(best, rows, 0);
+    for (size_t j = 0; j < num_args; ++j) {
+      const udf::ArgSpan& dist = args[j];
+      const int64_t label = static_cast<int64_t>(j + 1);
+      for (size_t r = 0; r < rows; ++r) {
+        if (dist.IsNull(r)) continue;
+        if (dist.d[r] < best_dist[r]) {
+          best_dist[r] = dist.d[r];
+          best[r] = label;
+        }
+      }
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      if (best[r] == 0) out->SetNull(r);
+    }
+    return Status::OK();
   }
 };
 

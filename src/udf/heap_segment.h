@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "common/memory_tracker.h"
 #include "common/status.h"
@@ -16,14 +17,19 @@ namespace nlq::udf {
 /// allocated ... is currently limited to one 64 kb segment".
 inline constexpr size_t kDefaultHeapCapacity = 64 * 1024;
 
-/// Bump allocator bounded to a single segment. Aggregate UDFs keep all
+/// Allocator bounded to a single segment. Aggregate UDFs keep all
 /// cross-row state here; an allocation that would exceed the segment
 /// fails (forcing the MAX_d-style static sizing and the partitioned
 /// high-d scheme of the paper's Table 6).
+///
+/// The capacity is a cap, not what gets allocated: each Allocate gets
+/// its own exact-size block, so a state that asks for 1 KiB costs
+/// 1 KiB of memory however large the cap is. Blocks never move, so
+/// every returned pointer stays valid for the segment's lifetime.
 class HeapSegment {
  public:
   explicit HeapSegment(size_t capacity = kDefaultHeapCapacity)
-      : capacity_(capacity), buffer_(new char[capacity]) {}
+      : capacity_(capacity) {}
 
   HeapSegment(const HeapSegment&) = delete;
   HeapSegment& operator=(const HeapSegment&) = delete;
@@ -33,11 +39,12 @@ class HeapSegment {
   }
 
   /// Budget-charged construction: charges `capacity` against `tracker`
-  /// up front (segments are allocated whole) and fails with
-  /// kResourceExhausted instead of allocating past the query's memory
-  /// limit. The charge is released when the segment is destroyed —
-  /// partial aggregation states merged away mid-query give their
-  /// memory back. A null tracker means no budget (untracked segment).
+  /// up front (the whole cap, whatever is later allocated) and fails
+  /// with kResourceExhausted instead of admitting past the query's
+  /// memory limit. The charge is released when the segment is
+  /// destroyed — partial aggregation states merged away mid-query give
+  /// their memory back. A null tracker means no budget (untracked
+  /// segment).
   static StatusOr<std::unique_ptr<HeapSegment>> Create(
       MemoryTracker* tracker, size_t capacity = kDefaultHeapCapacity) {
     if (tracker != nullptr) {
@@ -52,14 +59,17 @@ class HeapSegment {
   size_t used() const { return used_; }
   size_t remaining() const { return capacity_ - used_; }
 
-  /// Allocates `bytes` (8-byte aligned); nullptr when the segment
-  /// would overflow.
+  /// Allocates `bytes` (8-byte aligned, uninitialized) as a block of
+  /// its own; nullptr when the segment's cap would overflow.
   void* Allocate(size_t bytes) {
     const size_t aligned = (bytes + 7) & ~size_t{7};
     if (aligned > remaining()) return nullptr;
-    void* ptr = buffer_.get() + used_;
+    // operator new[] aligns to at least 8 bytes; a zero-byte request
+    // still gets a distinct non-null block.
+    blocks_.push_back(std::make_unique_for_overwrite<char[]>(
+        aligned == 0 ? 1 : aligned));
     used_ += aligned;
-    return ptr;
+    return blocks_.back().get();
   }
 
   /// Typed allocation, zero-initialized. T must be trivially
@@ -77,7 +87,7 @@ class HeapSegment {
  private:
   size_t capacity_;
   size_t used_ = 0;
-  std::unique_ptr<char[]> buffer_;
+  std::vector<std::unique_ptr<char[]>> blocks_;
   MemoryTracker* tracker_ = nullptr;  // set by Create; released in dtor
 };
 

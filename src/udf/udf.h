@@ -6,11 +6,45 @@
 #include <string>
 #include <vector>
 
+#include "common/query_context.h"
 #include "common/status.h"
+#include "storage/column_batch.h"
 #include "storage/value.h"
 #include "udf/heap_segment.h"
 
 namespace nlq::udf {
+
+/// One argument of a span call (ScalarUdf::InvokeSpans): the lanes of
+/// `rows` rows of one numeric SQL type plus an optional null bitmap. A
+/// NULL row's lane holds some defined value that means nothing; check
+/// IsNull first, or use At.
+struct ArgSpan {
+  storage::DataType type = storage::DataType::kDouble;  // kDouble or kInt64
+  const double* d = nullptr;        // lanes when type == kDouble
+  const int64_t* i = nullptr;       // lanes when type == kInt64
+  const uint64_t* nulls = nullptr;  // bit r set: row r is NULL (nullptr: none)
+
+  bool IsNull(size_t r) const {
+    return nulls != nullptr && storage::NullBitGet(nulls, r);
+  }
+  /// Row r as the Datum Invoke receives for it.
+  storage::Datum At(size_t r) const;
+};
+
+/// The result lanes of a span call, sized for the call's rows by the
+/// caller: `d` or `i` by the UDF's return_type(), and a zeroed null
+/// bitmap.
+struct ResultSpan {
+  double* d = nullptr;
+  int64_t* i = nullptr;
+  uint64_t* nulls = nullptr;
+  bool has_nulls = false;  // set by the callee when it sets a null bit
+
+  void SetNull(size_t r) {
+    storage::NullBitSet(nulls, r);
+    has_nulls = true;
+  }
+};
 
 /// A scalar User-Defined Function: one value per input row, computed
 /// from the row's parameter values only (no cross-row state, matching
@@ -32,10 +66,31 @@ class ScalarUdf {
     return Status::OK();
   }
 
-  /// Computes the value for one row.
+  /// Computes the value for one row. Returns NULL or a value of
+  /// return_type() (span callers widen an INT64 to a DOUBLE result).
   virtual StatusOr<storage::Datum> Invoke(
       const std::vector<storage::Datum>& args) const = 0;
+
+  /// Span calling convention, the columnar form of Invoke (as
+  /// AggregateUdf::AccumulateSpans is of Accumulate): computes
+  /// `rows` results into `out` from `num_args` argument spans, where a
+  /// constant argument arrives as a span of equal lanes. Must be
+  /// bit-identical to `rows` Invoke calls in row order, including
+  /// which error is returned first.
+  ///
+  /// The default loops Invoke row by row and polls `ctx` (when
+  /// non-null) before every row, so a cancel or deadline stops even a
+  /// slow UDF within one row. Overrides run tight loops over the lanes
+  /// and must keep their per-call cost bounded.
+  virtual Status InvokeSpans(const ArgSpan* args, size_t num_args,
+                             size_t rows, const QueryContext* ctx,
+                             ResultSpan* out) const;
 };
+
+/// True when every span is DOUBLE with no NULL rows — the shape a
+/// tight InvokeSpans loop can read lane by lane exactly as Invoke reads
+/// Datum::AsDouble.
+bool AllDenseDoubles(const ArgSpan* args, size_t num_args);
 
 /// An aggregate UDF following the Teradata four-phase run-time
 /// protocol the paper describes in Section 3.4:
@@ -111,7 +166,9 @@ class AggregateUdf {
   /// it. Relocatability is what lets the engine keep materialized
   /// partial states across statements (the maintained-view registry
   /// clones stored partials before merging so refreshes never corrupt
-  /// the registered state).
+  /// the registered state). The clone is a Merge into a freshly Init-ed
+  /// state, so a relocatable UDF's Merge into an empty state must
+  /// reproduce the source exactly.
   virtual size_t RelocatableStateSize() const { return 0; }
 };
 

@@ -64,20 +64,6 @@ class CancellationTest : public ::testing::Test {
 // count); a deadline tens of milliseconds out always fires first.
 constexpr const char* kSlowQuery = "SELECT slow_pass(X1) FROM X";
 
-TEST_F(CancellationTest, DeadlineExceededWithoutCompleting) {
-  QueryOptions q;
-  q.timeout_ms = 20;
-  auto result = db_->Execute(kSlowQuery, q);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(g_slow_rows.load(), kRows) << "query ran to completion anyway";
-
-  // The engine stays usable: the next statement starts clean.
-  auto after = db_->Execute("SELECT X1 FROM X");
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(after.value().num_rows(), kRows);
-}
-
 TEST_F(CancellationTest, DatabaseDefaultTimeoutApplies) {
   DatabaseOptions options;
   options.num_partitions = 4;
@@ -100,30 +86,6 @@ TEST_F(CancellationTest, DatabaseDefaultTimeoutApplies) {
   auto full = db.Execute(kSlowQuery, no_deadline);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(full.value().num_rows(), kRows);
-}
-
-TEST_F(CancellationTest, CancelFromAnotherThread) {
-  // The canceller watches for the statement to start (last_query_id
-  // becomes nonzero), then cancels it mid-flight.
-  Status cancel_status;
-  std::thread canceller([&] {
-    while (db_->last_query_id() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    cancel_status = db_->Cancel(db_->last_query_id());
-  });
-  auto result = db_->Execute(kSlowQuery);
-  canceller.join();
-
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  NLQ_EXPECT_OK(cancel_status);
-  EXPECT_LT(g_slow_rows.load(), kRows);
-
-  auto after = db_->Execute("SELECT X1 FROM X");
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(after.value().num_rows(), kRows);
 }
 
 TEST_F(CancellationTest, CancelUnknownIdReturnsNotFound) {
@@ -263,6 +225,84 @@ TEST_F(CancellationTest, PreFlippedTokenCancelsAtFirstPoll) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.value().num_rows(), kRows);
 }
+
+// ---------------------------------------------------------------------------
+// Worker count as a test axis: a cancel or deadline must stop the slow
+// statement before it completes however many workers drain it — with
+// 4+ workers each 1,000-row partition is one batch, so only polling
+// inside the batch (per UDF row) can stop it in time.
+// ---------------------------------------------------------------------------
+
+class CancellationSweepTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    db_ = nlq::testing::MakeTestDatabase(/*num_partitions=*/4, GetParam());
+    NLQ_ASSERT_OK(db_->udfs().RegisterScalar(std::make_unique<SlowPassUdf>()));
+    gen::MixtureOptions options;
+    options.n = kRows;
+    options.d = 2;
+    options.seed = 99;
+    NLQ_ASSERT_OK(gen::GenerateDataSetTable(db_.get(), "X", options).status());
+    g_slow_rows = 0;
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_P(CancellationSweepTest, DeadlineExceededWithoutCompleting) {
+  QueryOptions q;
+  q.timeout_ms = 20;
+  auto result = db_->Execute(kSlowQuery, q);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(g_slow_rows.load(), kRows) << "query ran to completion anyway";
+
+  // The engine stays usable: the next statement starts clean.
+  auto after = db_->Execute("SELECT X1 FROM X");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().num_rows(), kRows);
+}
+
+TEST_P(CancellationSweepTest, CancelFromAnotherThread) {
+  // The canceller watches for the statement to start (last_query_id
+  // becomes nonzero), then cancels it mid-flight.
+  Status cancel_status;
+  std::thread canceller([&] {
+    while (db_->last_query_id() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    cancel_status = db_->Cancel(db_->last_query_id());
+  });
+  auto result = db_->Execute(kSlowQuery);
+  canceller.join();
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  NLQ_EXPECT_OK(cancel_status);
+  EXPECT_LT(g_slow_rows.load(), kRows);
+
+  auto after = db_->Execute("SELECT X1 FROM X");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().num_rows(), kRows);
+}
+
+TEST_P(CancellationSweepTest, DeadlineStopsSlowUdfInWhere) {
+  // The same bound when the slow UDF sits in a compiled filter.
+  QueryOptions q;
+  q.timeout_ms = 20;
+  auto result = db_->Execute("SELECT X1 FROM X WHERE slow_pass(X2) > -1e9", q);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(g_slow_rows.load(), kRows) << "query ran to completion anyway";
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, CancellationSweepTest,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{4},
+                                           size_t{8}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "t" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace nlq::engine

@@ -228,13 +228,16 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
   FillTable(db.get(), 10, 4);
   NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE M (j BIGINT, c DOUBLE)"));
   NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO M VALUES (1, 10)"));
+  NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE M2 (j BIGINT, c DOUBLE)"));
+  NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO M2 VALUES (1, 10), (2, 20)"));
 
   // Eligible: global aggregate, bare columns, simple comparisons.
   for (const char* sql :
        {"SELECT nlq_list('triang', x1, x2) FROM X",
         "SELECT sum(x1), count(*), avg(x2) FROM X",
         "SELECT min(i), max(x3) FROM X WHERE x1 > 0 AND 2 >= x2",
-        "SELECT nlq_list('diag', x1) FROM X ORDER BY 1 LIMIT 3"}) {
+        "SELECT nlq_list('diag', x1) FROM X ORDER BY 1 LIMIT 3",
+        "SELECT sum(x1) FROM X, M"}) {  // one-row M binds as constants
     NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
     EXPECT_NE(plan.find("ColumnarAggregate"), std::string::npos)
         << sql << "\n" << plan;
@@ -254,7 +257,8 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
        {"SELECT sum(x1) FROM X GROUP BY i",         // group keys
         "SELECT sum(x1 + 1) FROM X",                // expression arg
         "SELECT sum(x1) FROM X WHERE x1 + x2 > 0",  // complex where
-        "SELECT count(*) FROM X GROUP BY i HAVING count(*) > 1"}) {  // having
+        "SELECT count(*) FROM X GROUP BY i HAVING count(*) > 1",  // having
+        "SELECT sum(x1) FROM X, M2"}) {  // cross join (spans)
     NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
     EXPECT_EQ(plan.find("ColumnarAggregate"), std::string::npos)
         << sql << "\n" << plan;
@@ -264,9 +268,8 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
 
   // Genuinely ineligible shapes fall back to the row path.
   for (const char* sql :
-       {"SELECT sum(x1) FROM X, M",                          // cross join
-        "SELECT count(*) FROM X",                            // no columns
-        "SELECT nlq_string('diag', pack_point(x1)) FROM X"}) {  // scalar UDF
+       {"SELECT count(*) FROM X",                            // no columns
+        "SELECT nlq_string('diag', pack_point(x1)) FROM X"}) {  // VARCHAR UDF
     NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
     EXPECT_EQ(plan.find("Columnar"), std::string::npos) << sql << "\n" << plan;
     EXPECT_EQ(plan.find("Vector"), std::string::npos) << sql << "\n" << plan;

@@ -543,9 +543,9 @@ TEST(DifferentialQueryTest, BuiltinAggregatesMatchOracle) {
 // ---------------------------------------------------------------------------
 // Segment models (GROUP BY) and scoring projections through the
 // compiled pipeline: the vectorized plans (VectorHashAggregate, and
-// compiled Project programs under a cross join) must match the forced
-// interpreted row path and the external oracle bit for bit, across
-// worker-thread counts {1, 2, 4}.
+// VectorProject over one-row model tables bound as constants) must
+// match the forced interpreted row path and the external oracle bit
+// for bit, across worker-thread counts {1, 2, 4}.
 // ---------------------------------------------------------------------------
 
 /// Per-group oracle mirroring the engine's structure exactly: one
@@ -676,25 +676,67 @@ TEST(DifferentialQueryTest, GroupedBuildsMatchOracleAcrossThreads) {
   }
 }
 
+/// Model tables for the six scoring statements over T(i, X1..Xd):
+/// BETA(b0..bd), MU(X1..Xd), LAMBDA(j, X1..Xd) with k rows and
+/// C(j, X1..Xd) with k rows, all exact dyadic values.
+std::vector<std::string> ModelTableStatements(size_t d, size_t k) {
+  std::vector<std::string> out;
+  std::string create = "CREATE TABLE BETA (b0 DOUBLE";
+  std::string insert = "INSERT INTO BETA VALUES (0.5";
+  for (size_t a = 1; a <= d; ++a) {
+    create += StringPrintf(", b%zu DOUBLE", a);
+    insert += StringPrintf(", %.8f", 0.25 * static_cast<double>(a));
+  }
+  out.push_back(create + ")");
+  out.push_back(insert + ")");
+  std::string cols;
+  for (size_t a = 1; a <= d; ++a) cols += StringPrintf(", X%zu DOUBLE", a);
+  out.push_back("CREATE TABLE MU (" + cols.substr(2) + ")");
+  std::string mu = "INSERT INTO MU VALUES (";
+  for (size_t a = 1; a <= d; ++a) {
+    mu += StringPrintf("%s%.8f", a > 1 ? ", " : "",
+                       0.125 * static_cast<double>(a) - 1.0);
+  }
+  out.push_back(mu + ")");
+  for (const char* table : {"LAMBDA", "C"}) {
+    out.push_back(StringPrintf("CREATE TABLE %s (j BIGINT", table) + cols +
+                  ")");
+    std::string rows = StringPrintf("INSERT INTO %s VALUES ", table);
+    for (size_t j = 1; j <= k; ++j) {
+      rows += StringPrintf("%s(%zu", j > 1 ? ", " : "", j);
+      for (size_t a = 1; a <= d; ++a) {
+        rows += StringPrintf(", %.8f", static_cast<double>(j) * 0.5 -
+                                           static_cast<double>(a) / 16.0);
+      }
+      rows += ")";
+    }
+    out.push_back(rows);
+  }
+  return out;
+}
+
 TEST(DifferentialQueryTest, ScoringProjectionsMatchAcrossThreads) {
   const size_t kThreads[] = {1, 2, 4};
-  const size_t kPick[] = {4, 8, 15};
+  const size_t kPick[] = {4, 8, 15, 21};
+  const size_t kComponents = 2;
   for (const size_t idx : kPick) {
     const TableConfig& cfg = kConfigs[idx];
     const std::vector<std::string> inserts = BuildInserts(cfg);
-    // One-row BETA(b0, b1..bd) with exact dyadic coefficients.
-    std::string create_beta = "CREATE TABLE BETA (b0 DOUBLE";
-    std::string insert_beta = "INSERT INTO BETA VALUES (0.5";
-    for (size_t a = 1; a <= cfg.d; ++a) {
-      create_beta += StringPrintf(", b%zu DOUBLE", a);
-      insert_beta += StringPrintf(", %.8f", 0.25 * static_cast<double>(a));
-    }
-    create_beta += ")";
-    insert_beta += ")";
-    const std::string score_sql =
-        stats::LinRegScoreSqlQuery("T", "BETA", cfg.d);
-    // The pure-projection flavor (no join) runs the vector pipeline.
-    std::string proj_sql = "SELECT i, X1 * X1 + 0.5 FROM T";
+    const size_t d = cfg.d;
+    // The six scoring statements of the paper's Table 4 (linreg, PCA
+    // and k-means, each in UDF and SQL style; k-means SQL is two
+    // steps, the second reading the first's materialized distances),
+    // plus a join-free projection.
+    const std::vector<std::string> statements = {
+        stats::LinRegScoreUdfQuery("T", "BETA", d),
+        stats::LinRegScoreSqlQuery("T", "BETA", d),
+        stats::PcaScoreUdfQuery("T", "MU", "LAMBDA", d, kComponents),
+        stats::PcaScoreSqlQuery("T", "MU", "LAMBDA", d, kComponents),
+        stats::KMeansScoreUdfQuery("T", "C", d, kComponents),
+        stats::KMeansDistancesSqlQuery("T", "C", d, kComponents),
+        stats::KMeansAssignSqlQuery("DIST", kComponents),
+        "SELECT i, X1 * X1 + 0.5 FROM T",
+    };
     std::string baseline;
     for (const size_t threads : kThreads) {
       SCOPED_TRACE(StringPrintf(
@@ -702,26 +744,30 @@ TEST(DifferentialQueryTest, ScoringProjectionsMatchAcrossThreads) {
           static_cast<unsigned long long>(cfg.seed), threads));
       auto db = MakeDiffDatabase(cfg, threads);
       CreateAndFill(db.get(), cfg, inserts);
-      NLQ_ASSERT_OK(db->ExecuteCommand(create_beta));
-      NLQ_ASSERT_OK(db->ExecuteCommand(insert_beta));
-
-      // Cross-join scoring stays on the row path but its projection
-      // gets a compiled program; the join-free projection runs the
-      // full vector pipeline.
-      NLQ_ASSERT_OK_AND_ASSIGN(std::string score_plan,
-                               db->Explain(score_sql));
-      EXPECT_NE(score_plan.find("; compiled "), std::string::npos)
-          << score_plan;
-      NLQ_ASSERT_OK_AND_ASSIGN(std::string proj_plan, db->Explain(proj_sql));
-      EXPECT_NE(proj_plan.find("VectorProject"), std::string::npos)
-          << proj_plan;
+      for (const std::string& sql : ModelTableStatements(d, kComponents)) {
+        NLQ_ASSERT_OK(db->ExecuteCommand(sql));
+      }
+      NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE DIST AS " +
+                                       statements[5]));
 
       std::string sig;
-      for (const std::string& sql : {score_sql, proj_sql}) {
+      for (const std::string& sql : statements) {
+        // Every one-row model table binds as constants: no cross join
+        // is left, and the whole statement runs the vector pipeline,
+        // scalar UDF calls included. The oracle keeps the row path.
+        NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
+        EXPECT_NE(plan.find("VectorProject"), std::string::npos)
+            << sql << "\n" << plan;
+        EXPECT_EQ(plan.find("CrossJoin"), std::string::npos)
+            << sql << "\n" << plan;
+        EXPECT_EQ(plan.find("└─ Project"), std::string::npos)
+            << sql << "\n" << plan;
+
         auto compiled = db->Execute(sql);
         auto interpreted = db->Execute(sql, Interpreted());
         NLQ_ASSERT_OK(compiled.status());
         NLQ_ASSERT_OK(interpreted.status());
+        EXPECT_EQ(compiled->num_rows(), cfg.rows) << sql;
         EXPECT_EQ(ResultSignature(*compiled), ResultSignature(*interpreted))
             << sql;
         sig += ResultSignature(*compiled);
@@ -732,6 +778,141 @@ TEST(DifferentialQueryTest, ScoringProjectionsMatchAcrossThreads) {
         EXPECT_EQ(sig, baseline);
       }
     }
+  }
+}
+
+/// Runs `sql` compiled and interpreted, expects bit-identical results
+/// and returns the compiled one.
+ResultSet ExpectPathsAgree(Database* db, const std::string& sql) {
+  auto compiled = db->Execute(sql);
+  auto interpreted = db->Execute(sql, Interpreted());
+  EXPECT_TRUE(compiled.ok()) << sql << ": " << compiled.status().ToString();
+  EXPECT_TRUE(interpreted.ok())
+      << sql << ": " << interpreted.status().ToString();
+  if (!compiled.ok() || !interpreted.ok()) return ResultSet();
+  EXPECT_EQ(ResultSignature(*compiled), ResultSignature(*interpreted)) << sql;
+  return std::move(compiled).value();
+}
+
+TEST(DifferentialQueryTest, ModelTableJoinEdgeCases) {
+  const TableConfig& cfg = kConfigs[8];  // 1025 rows, NULLs in PAD only
+  const std::vector<std::string> inserts = BuildInserts(cfg);
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE(StringPrintf("threads=%zu", threads));
+    auto db = MakeDiffDatabase(cfg, threads);
+    CreateAndFill(db.get(), cfg, inserts);
+    NLQ_ASSERT_OK(db->ExecuteCommand(
+        "CREATE TABLE M (j BIGINT, c DOUBLE, w BIGINT)"));
+    NLQ_ASSERT_OK(db->ExecuteCommand(
+        "INSERT INTO M VALUES (1, 0.75, 3), (2, NULL, -2), (3, 2.5, 7)"));
+
+    // 0, 1 and 2 rows left after pushdown.
+    const std::string proj = "SELECT i, X1 * m.c + X2, i * m.w FROM T, M m";
+    NLQ_ASSERT_OK_AND_ASSIGN(std::string empty_plan,
+                             db->Explain(proj + " WHERE m.j = 9"));
+    EXPECT_NE(empty_plan.find("ConstantInput (M AS m: 0 rows after "
+                              "pushdown: (m.j = 9))"),
+              std::string::npos)
+        << empty_plan;
+    EXPECT_EQ(ExpectPathsAgree(db.get(), proj + " WHERE m.j = 9").num_rows(),
+              0u);
+    const ResultSet empty_agg = ExpectPathsAgree(
+        db.get(), "SELECT count(*), sum(X1 * m.c) FROM T, M m WHERE m.j = 9");
+    ASSERT_EQ(empty_agg.num_rows(), 1u);
+    EXPECT_EQ(empty_agg.At(0, 0).int_value(), 0);
+    EXPECT_TRUE(empty_agg.At(0, 1).is_null());
+
+    NLQ_ASSERT_OK_AND_ASSIGN(std::string one_plan,
+                             db->Explain(proj + " WHERE m.j = 1"));
+    EXPECT_NE(one_plan.find("VectorProject"), std::string::npos) << one_plan;
+    EXPECT_EQ(ExpectPathsAgree(db.get(), proj + " WHERE m.j = 1").num_rows(),
+              cfg.rows);
+
+    // Two rows stay a CrossJoin, joined as column spans (the NULL
+    // coefficient and BIGINT column ride along as span columns).
+    NLQ_ASSERT_OK_AND_ASSIGN(std::string two_plan,
+                             db->Explain(proj + " WHERE m.j >= 2"));
+    EXPECT_NE(two_plan.find("CrossJoin (M AS m: materialized, 2 rows"),
+              std::string::npos)
+        << two_plan;
+    EXPECT_NE(two_plan.find("VectorProject"), std::string::npos) << two_plan;
+    EXPECT_EQ(ExpectPathsAgree(db.get(), proj + " WHERE m.j >= 2").num_rows(),
+              2 * cfg.rows);
+    // Multi-row joins in every pipeline shape: two joined tables, a
+    // constant table next to a joined one, a filter across both sides,
+    // scalar UDFs, and grouped and global aggregates.
+    EXPECT_EQ(ExpectPathsAgree(db.get(),
+                               "SELECT i, X1 * a.c + b.w, a.j * 10 + b.j "
+                               "FROM T, M a, M b WHERE a.j <= 2 AND b.j >= 2")
+                  .num_rows(),
+              4 * cfg.rows);
+    EXPECT_EQ(ExpectPathsAgree(db.get(),
+                               "SELECT i, X1 * a.c + b.w FROM T, M a, M b "
+                               "WHERE a.j = 1")
+                  .num_rows(),
+              3 * cfg.rows);
+    ExpectPathsAgree(db.get(), "SELECT i, X2, m.j FROM T, M m WHERE X1 > m.c");
+    ExpectPathsAgree(db.get(),
+                     "SELECT i, kmeansdistance(X1, X2, m.c, m.w), "
+                     "clusterscore(m.c, X1, X2) FROM T, M m");
+    ExpectPathsAgree(db.get(),
+                     "SELECT i % 3, count(*), sum(X1 * m.c), sum(m.w), "
+                     "min(X2 + m.j) FROM T, M m WHERE m.j >= 2 "
+                     "GROUP BY i % 3");
+    ExpectPathsAgree(db.get(),
+                     "SELECT count(*), sum(X1 * m.c), "
+                     "nlq_list('triang', X1, m.w) FROM T, M m");
+
+    // A NULL coefficient: NULL through SQL arithmetic, 0.0 through the
+    // UDF's Datum::AsDouble — both exactly as the interpreter does.
+    const ResultSet null_coef = ExpectPathsAgree(
+        db.get(),
+        "SELECT i, X1 * m.c, linearregscore(X1, X2, m.w, m.c, m.c), "
+        "kmeansdistance(X1, X2, m.c, m.w), clusterscore(m.c, X1) "
+        "FROM T, M m WHERE m.j = 2");
+    ASSERT_EQ(null_coef.num_rows(), cfg.rows);
+    EXPECT_TRUE(null_coef.At(0, 1).is_null());
+    EXPECT_FALSE(null_coef.At(0, 2).is_null());
+
+    // BIGINT model columns: integer arithmetic stays integer, and an
+    // INT64 argument takes the UDF's Invoke-per-row span loop.
+    ExpectPathsAgree(db.get(),
+                     "SELECT i + m.w, i * m.j, X1 * m.w, "
+                     "kmeansdistance(X1, X2, m.w, m.j) "
+                     "FROM T, M m WHERE m.j = 3");
+
+    // Aggregates over a constant-bound model table.
+    ExpectPathsAgree(db.get(),
+                     "SELECT sum(X1 * m.c), nlq_list('triang', X1, X2) "
+                     "FROM T, M m WHERE m.j = 1");
+    ExpectPathsAgree(db.get(),
+                     "SELECT i % 3, sum(linearregscore(X1, m.c, m.c)) "
+                     "FROM T, M m WHERE m.j = 3 GROUP BY i % 3");
+
+    // A model table rewritten between two statements: the second
+    // statement binds the new row, never the old constants (the
+    // compiled program cache is keyed by them).
+    const std::string score = "SELECT i, X1 * b.c FROM T, B b";
+    NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE B (c DOUBLE)"));
+    NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO B VALUES (2)"));
+    const ResultSet before = ExpectPathsAgree(db.get(), score);
+    NLQ_ASSERT_OK(db->ExecuteCommand("DROP TABLE B"));
+    NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE B (c DOUBLE)"));
+    NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO B VALUES (-3)"));
+    const ResultSet after = ExpectPathsAgree(db.get(), score);
+    ASSERT_EQ(before.num_rows(), after.num_rows());
+    for (size_t r = 0; r < after.num_rows(); ++r) {
+      const Datum& x = after.At(r, 1);
+      if (before.At(r, 1).is_null()) {
+        EXPECT_TRUE(x.is_null());
+        continue;
+      }
+      EXPECT_EQ(x.double_value(), before.At(r, 1).double_value() / 2 * -3)
+          << "row " << r;
+    }
+    // A second row turns the same statement back into a cross join.
+    NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO B VALUES (5)"));
+    EXPECT_EQ(ExpectPathsAgree(db.get(), score).num_rows(), 2 * cfg.rows);
   }
 }
 

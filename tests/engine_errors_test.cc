@@ -71,7 +71,8 @@ class FailingUdaf : public udf::AggregateUdf {
   }
   DataType return_type() const override { return DataType::kDouble; }
   StatusOr<void*> Init(udf::HeapSegment* heap) const override {
-    return heap->Allocate(8);
+    // Zeroed: Allocate itself leaves the block uninitialized.
+    return heap->AllocateObject<int64_t>();
   }
   Status Accumulate(void* state,
                     const std::vector<Datum>& args) const override {
@@ -140,6 +141,83 @@ TEST_F(EngineErrorsTest, AggregateAccumulateErrorSurfaces) {
 
 TEST_F(EngineErrorsTest, ScalarUdfArityCheckedAtPlanTime) {
   EXPECT_FALSE(db_->Execute("SELECT fail_above(v) FROM t").ok());
+}
+
+// A UDF call the interpreter runs only on some rows (a CASE branch,
+// the right side of AND/OR, a later COALESCE/LEAST argument, POWER's
+// exponent) must not run on the others in the compiled path either:
+// every statement below behaves the same with and without
+// force_interpreted, bit for bit or with the same error.
+TEST_F(EngineErrorsTest, GuardedScalarUdfRunsOnlyWhereInterpreterRunsIt) {
+  QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  auto expect_same = [&](const std::string& sql, bool expect_ok) {
+    SCOPED_TRACE(sql);
+    auto compiled = db_->Execute(sql);
+    auto oracle = db_->Execute(sql, interpreted);
+    ASSERT_EQ(oracle.ok(), expect_ok) << oracle.status().ToString();
+    ASSERT_EQ(compiled.ok(), oracle.ok()) << compiled.status().ToString();
+    if (!oracle.ok()) {
+      EXPECT_EQ(compiled.status().ToString(), oracle.status().ToString());
+      return;
+    }
+    ASSERT_EQ(compiled->num_rows(), oracle->num_rows());
+    ASSERT_EQ(compiled->num_columns(), oracle->num_columns());
+    for (size_t r = 0; r < oracle->num_rows(); ++r) {
+      for (size_t c = 0; c < oracle->num_columns(); ++c) {
+        const Datum& a = compiled->At(r, c);
+        const Datum& b = oracle->At(r, c);
+        EXPECT_EQ(a.type(), b.type()) << "row " << r << " col " << c;
+        EXPECT_EQ(a.ToString(), b.ToString()) << "row " << r << " col " << c;
+      }
+    }
+  };
+  // fail_above(v, 100) fails on the rows v = 101..200.
+  expect_same("SELECT i, CASE WHEN v <= 100 THEN fail_above(v, 100) "
+              "ELSE 0.0 END FROM t ORDER BY i",
+              true);
+  expect_same("SELECT i, CASE WHEN v > 100 THEN 0.0 "
+              "ELSE fail_above(v, 100) END FROM t ORDER BY i",
+              true);
+  expect_same("SELECT i, CASE WHEN v > 100 THEN 0 "
+              "WHEN fail_above(v, 100) > 50 THEN 1 ELSE 2 END "
+              "FROM t ORDER BY i",
+              true);
+  expect_same("SELECT i FROM t WHERE v + 0 <= 100 AND fail_above(v, 100) = v "
+              "ORDER BY i",
+              true);
+  expect_same("SELECT i FROM t WHERE v <= 100 AND fail_above(v, 100) = v "
+              "ORDER BY i",
+              true);
+  expect_same("SELECT i, v > 100 OR fail_above(v, 100) = v FROM t ORDER BY i",
+              true);
+  expect_same("SELECT i, coalesce(v, fail_above(v, 0)) FROM t ORDER BY i",
+              true);
+  expect_same("SELECT i, least(CASE WHEN v > 100 THEN NULL ELSE v END, "
+              "fail_above(v, 100)) FROM t ORDER BY i",
+              true);
+  expect_same("SELECT i, power(CASE WHEN v > 100 THEN NULL ELSE 1.01 END, "
+              "fail_above(v, 100)) FROM t ORDER BY i",
+              true);
+  expect_same("SELECT sum(CASE WHEN v <= 100 THEN fail_above(v, 100) END) "
+              "FROM t",
+              true);
+  // A UDF conjunct before a hoistable comparison runs on every row in
+  // the interpreter, so the compiled path must not filter first.
+  expect_same("SELECT i FROM t WHERE fail_above(v, 100) = v AND v <= 100",
+              false);
+  // Calls every row reaches still compile.
+  expect_same("SELECT i, CASE WHEN fail_above(v, 1e9) > 100 THEN 1 ELSE 0 "
+              "END, fail_above(v, 1e9) * 2 FROM t ORDER BY i",
+              true);
+  auto plan = db_->Explain("SELECT i, CASE WHEN fail_above(v, 1e9) > 100 "
+                           "THEN 1 ELSE 0 END FROM t");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("VectorProject"), std::string::npos) << *plan;
+  plan = db_->Explain("SELECT i, CASE WHEN v <= 100 THEN fail_above(v, 100) "
+                      "ELSE 0.0 END FROM t");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->find("VectorProject"), std::string::npos) << *plan;
 }
 
 // ---------------------------------------------------------------------------

@@ -68,19 +68,69 @@ TEST_F(ExplainTest, ShowsPushdownDecision) {
   const std::string plan = Plan(
       "SELECT X1, m1.c FROM X, M m1, M m2 "
       "WHERE m1.j = 1 AND m2.j = 2 AND X1 > 0");
-  // Pushed predicates shrink the materialized sides to one row each.
-  EXPECT_NE(plan.find("CrossJoin (M AS m1: materialized, 1 rows after "
-                      "pushdown: (m1.j = 1))"),
+  // Pushed predicates shrink the materialized sides to one row each,
+  // which then bind as constants instead of being cross-joined.
+  EXPECT_NE(plan.find("constants: M AS m1: 1 row after pushdown: (m1.j = 1), "
+                      "M AS m2: 1 row after pushdown: (m2.j = 2)"),
             std::string::npos)
       << plan;
-  EXPECT_NE(plan.find("CrossJoin (M AS m2: materialized, 1 rows after "
-                      "pushdown: (m2.j = 2))"),
-            std::string::npos);
-  // The driver-only conjunct stays in the residual filter; the join
-  // keeps the query on the row path, but the predicate still gets a
-  // compiled program.
-  EXPECT_NE(plan.find("Filter ((X1 > 0); compiled, "), std::string::npos)
-      << plan;
+  EXPECT_EQ(plan.find("CrossJoin"), std::string::npos) << plan;
+  // The driver-only conjunct is a simple comparison, pushed into the
+  // columnar scan.
+  EXPECT_NE(plan.find("filter: (X1 > 0)"), std::string::npos) << plan;
+
+  // The interpreted oracle keeps the cross joins.
+  QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  NLQ_ASSERT_OK_AND_ASSIGN(
+      std::string row_plan,
+      db_->Explain("SELECT X1, m1.c FROM X, M m1, M m2 "
+                   "WHERE m1.j = 1 AND m2.j = 2 AND X1 > 0",
+                   interpreted));
+  EXPECT_NE(row_plan.find("CrossJoin (M AS m1: materialized, 1 rows after "
+                          "pushdown: (m1.j = 1))"),
+            std::string::npos)
+      << row_plan;
+  EXPECT_NE(row_plan.find("Filter ((X1 > 0))"), std::string::npos)
+      << row_plan;
+}
+
+TEST_F(ExplainTest, OneRowModelTableBindsAsConstants) {
+  // One row left after pushdown: the statement plans as single-table.
+  EXPECT_EQ(Plan("SELECT i, X1 * m.c + 1 FROM X, M m WHERE m.j = 2"),
+            "Gather (4 stream(s), 4 worker(s))\n"
+            "└─ VectorProject (2 column(s); compiled, 6 op(s))\n"
+            "   └─ ColumnarScan (X: 50 rows, 4 partitions, 2 of 3 "
+            "column(s), batch 1024, morsel 16384 (4 morsel(s)), cache off, "
+            "constants: M AS m: 1 row after pushdown: (m.j = 2))\n");
+  // Scalar UDF calls compile to span calls in the same pipeline.
+  EXPECT_EQ(Plan("SELECT i, kmeansdistance(X1, X2, m.c, m.j) FROM X, M m "
+                 "WHERE m.j = 3 AND X2 > X1"),
+            "Gather (4 stream(s), 4 worker(s))\n"
+            "└─ VectorProject (2 column(s); compiled, 6 op(s))\n"
+            "   └─ VectorFilter ((X2 > X1); compiled, 3 op(s))\n"
+            "      └─ ColumnarScan (X: 50 rows, 4 partitions, 3 of 3 "
+            "column(s), batch 1024, morsel 16384 (4 morsel(s)), cache off, "
+            "constants: M AS m: 1 row after pushdown: (m.j = 3))\n");
+}
+
+TEST_F(ExplainTest, EmptyModelTableEmptiesTheJoin) {
+  // No rows left after pushdown: nothing is scanned.
+  EXPECT_EQ(Plan("SELECT X1, m.c FROM X, M m WHERE m.j = 9"),
+            "Project (2 column(s))\n"
+            "└─ ConstantInput (M AS m: 0 rows after pushdown: (m.j = 9))\n");
+}
+
+TEST_F(ExplainTest, MultiRowModelTableKeepsCrossJoin) {
+  // Two rows left: the table stays a CrossJoin, which joins the
+  // scan's column spans inside the vector pipeline.
+  EXPECT_EQ(Plan("SELECT X1 + m.c FROM X, M m WHERE m.j > 1"),
+            "Gather (4 stream(s), 4 worker(s))\n"
+            "└─ VectorProject (1 column(s); compiled, 3 op(s))\n"
+            "   └─ CrossJoin (M AS m: materialized, 2 rows after pushdown: "
+            "(m.j > 1))\n"
+            "      └─ ColumnarScan (X: 50 rows, 4 partitions, 1 of 3 "
+            "column(s), batch 1024, morsel 16384 (4 morsel(s)), cache off)\n");
 }
 
 TEST_F(ExplainTest, AggregatePlanCountsUdfCalls) {
@@ -139,13 +189,14 @@ TEST_F(ExplainTest, NlqScoringPlanIsCompact) {
   }
   const std::string sql = stats::KMeansScoreUdfQuery("X", "C", 2, 3);
   const std::string plan = Plan(sql);
-  // Each aliased copy is pre-filtered to exactly one centroid row.
+  // Each aliased copy is pre-filtered to exactly one centroid row,
+  // which binds as constants: no cross join is left.
   for (int j = 1; j <= 3; ++j) {
-    EXPECT_NE(plan.find("AS C" + std::to_string(j) +
-                        ": materialized, 1 rows"),
+    EXPECT_NE(plan.find("AS C" + std::to_string(j) + ": 1 row after"),
               std::string::npos)
         << plan;
   }
+  EXPECT_EQ(plan.find("CrossJoin"), std::string::npos) << plan;
 }
 
 }  // namespace

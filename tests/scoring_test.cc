@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/query_context.h"
+#include "common/random.h"
 #include "engine/database.h"
 #include "gen/datagen.h"
 #include "stats/miner.h"
@@ -75,6 +79,99 @@ TEST_F(ScalarUdfDirectTest, ClusterScoreAllNullGivesNull) {
                           Datum::Null(DataType::kDouble)};
   NLQ_ASSERT_OK_AND_ASSIGN(Datum v, fn->Invoke(args));
   EXPECT_TRUE(v.is_null());
+}
+
+/// Calls `fn` both ways over `rows` rows — InvokeSpans once, Invoke
+/// per row — and expects bit-identical lanes and NULLs.
+void ExpectSpansMatchInvoke(const udf::ScalarUdf& fn,
+                            const std::vector<udf::ArgSpan>& args,
+                            size_t rows) {
+  const bool as_double = fn.return_type() == DataType::kDouble;
+  std::vector<double> d(rows, -1.0);
+  std::vector<int64_t> i(rows, -1);
+  std::vector<uint64_t> nulls(storage::NullBitmapWords(rows), 0);
+  udf::ResultSpan out;
+  out.d = d.data();
+  out.i = i.data();
+  out.nulls = nulls.data();
+  NLQ_ASSERT_OK(fn.InvokeSpans(args.data(), args.size(), rows, nullptr, &out));
+  std::vector<Datum> values(args.size());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t a = 0; a < args.size(); ++a) values[a] = args[a].At(r);
+    NLQ_ASSERT_OK_AND_ASSIGN(Datum want, fn.Invoke(values));
+    const bool null = storage::NullBitGet(nulls.data(), r);
+    ASSERT_EQ(null, want.is_null()) << fn.name() << " row " << r;
+    if (null) continue;
+    if (as_double) {
+      uint64_t got_bits = 0, want_bits = 0;
+      const double want_v = want.double_value();
+      std::memcpy(&got_bits, &d[r], sizeof(got_bits));
+      std::memcpy(&want_bits, &want_v, sizeof(want_bits));
+      EXPECT_EQ(got_bits, want_bits) << fn.name() << " row " << r;
+    } else {
+      EXPECT_EQ(i[r], want.int_value()) << fn.name() << " row " << r;
+    }
+  }
+  EXPECT_EQ(out.has_nulls,
+            std::any_of(nulls.begin(), nulls.end(),
+                        [](uint64_t w) { return w != 0; }));
+}
+
+TEST_F(ScalarUdfDirectTest, InvokeSpansMatchesInvokeBitForBit) {
+  constexpr size_t kRows = 131;
+  constexpr size_t kMaxArgs = 9;
+  Random rng(7);
+  std::vector<std::vector<double>> lanes(kMaxArgs, std::vector<double>(kRows));
+  std::vector<std::vector<int64_t>> ints(kMaxArgs,
+                                         std::vector<int64_t>(kRows));
+  for (size_t a = 0; a < kMaxArgs; ++a) {
+    for (size_t r = 0; r < kRows; ++r) {
+      lanes[a][r] = rng.NextDouble() * 20.0 - 10.0;
+      ints[a][r] = static_cast<int64_t>(rng.NextUint64(21)) - 10;
+    }
+  }
+  // Every third row of argument 1 is NULL; its lane keeps a nonzero
+  // value, as a VM register's NULL lane may.
+  std::vector<uint64_t> some_nulls(storage::NullBitmapWords(kRows), 0);
+  for (size_t r = 0; r < kRows; r += 3) {
+    storage::NullBitSet(some_nulls.data(), r);
+  }
+
+  const std::pair<const char*, size_t> kCalls[] = {
+      {"linearregscore", 7}, {"fascore", 9}, {"kmeansdistance", 6},
+      {"clusterscore", 4}};
+  for (const auto& [name, argc] : kCalls) {
+    const udf::ScalarUdf* fn = registry_.FindScalar(name);
+    ASSERT_NE(fn, nullptr) << name;
+    std::vector<udf::ArgSpan> args(argc);
+    for (size_t a = 0; a < argc; ++a) args[a].d = lanes[a].data();
+    ExpectSpansMatchInvoke(*fn, args, kRows);  // dense doubles
+    args[1].nulls = some_nulls.data();
+    ExpectSpansMatchInvoke(*fn, args, kRows);  // NULL rows
+    args[argc - 1].type = DataType::kInt64;
+    args[argc - 1].i = ints[argc - 1].data();
+    ExpectSpansMatchInvoke(*fn, args, kRows);  // an INT64 argument
+  }
+}
+
+TEST_F(ScalarUdfDirectTest, DefaultInvokeSpansPollsTheContext) {
+  // A row-by-row span call observes a cancel before its first row.
+  const udf::ScalarUdf* fn = registry_.FindScalar("kmeansdistance");
+  std::vector<double> x = {1.0, 2.0};
+  const int64_t c[] = {3, 4};
+  std::vector<udf::ArgSpan> args(2);
+  args[0].d = x.data();
+  args[1].type = DataType::kInt64;  // takes the default Invoke loop
+  args[1].i = c;
+  std::vector<double> out_d(2);
+  std::vector<uint64_t> nulls(1, 0);
+  udf::ResultSpan out;
+  out.d = out_d.data();
+  out.nulls = nulls.data();
+  QueryContext ctx;
+  ctx.cancel_token()->store(true);
+  EXPECT_EQ(fn->InvokeSpans(args.data(), 2, 2, &ctx, &out).code(),
+            StatusCode::kCancelled);
 }
 
 TEST_F(ScalarUdfDirectTest, PackPointFormat) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/random.h"
 #include "storage/value.h"
 #include "tests/test_util.h"
@@ -65,6 +72,44 @@ TEST(HeapSegmentTest, TypedAllocationRespectsCapacity) {
   };
   HeapSegment heap;  // 64 KB
   EXPECT_EQ(heap.AllocateObject<Big>(), nullptr);
+}
+
+TEST(HeapSegmentTest, BlocksAreExactSize) {
+  // The capacity is a cap: a small state costs a small block, not the
+  // whole 64 KB segment.
+  HeapSegment heap;
+  for (const size_t bytes : {size_t{1}, size_t{100}, size_t{4096}}) {
+    void* p = heap.Allocate(bytes);
+    ASSERT_NE(p, nullptr);
+#if defined(__GLIBC__)
+    EXPECT_LT(malloc_usable_size(p), bytes + 64) << bytes;
+#endif
+  }
+  EXPECT_EQ(heap.used(), 8u + 104u + 4096u);
+}
+
+TEST(HeapSegmentTest, PointersStayStable) {
+  HeapSegment heap;
+  std::vector<unsigned char*> blocks;
+  for (int i = 0; i < 200; ++i) {
+    auto* p = static_cast<unsigned char*>(heap.Allocate(40));
+    ASSERT_NE(p, nullptr);
+    std::memset(p, i, 40);
+    blocks.push_back(p);
+  }
+  // Later allocations never move or overwrite earlier blocks.
+  for (int i = 0; i < 200; ++i) {
+    for (int b = 0; b < 40; ++b) ASSERT_EQ(blocks[i][b], i) << i;
+  }
+}
+
+TEST(HeapSegmentTest, CapHoldsAcrossBlocks) {
+  HeapSegment heap;  // 64 KB cap over many blocks
+  for (int i = 0; i < 1000; ++i) ASSERT_NE(heap.Allocate(64), nullptr);
+  ASSERT_NE(heap.Allocate(1536), nullptr);  // exactly 65536 bytes used
+  EXPECT_EQ(heap.used(), 64u * 1024u);
+  EXPECT_EQ(heap.remaining(), 0u);
+  EXPECT_EQ(heap.Allocate(1), nullptr);  // the byte past 64 KB
 }
 
 // ---------------------------------------------------------------------------
