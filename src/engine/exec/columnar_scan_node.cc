@@ -232,8 +232,7 @@ std::string ColumnarScanNode::annotation() const {
 
 StatusOr<ExecStreamPtr> ColumnarScanNode::OpenStreamImpl(size_t) const {
   return Status::Internal(
-      "ColumnarScan produces column spans; it must be driven by "
-      "ColumnarAggregate");
+      "ColumnarScan produces column spans, not rows");
 }
 
 StatusOr<ColumnStreamPtr> ColumnarScanNode::OpenColumnStreamImpl(

@@ -9,8 +9,9 @@ using storage::Datum;
 
 class FilterStream : public ExecStream {
  public:
-  FilterStream(ExecStreamPtr input, const BoundExpr* predicate)
-      : input_(std::move(input)), predicate_(predicate) {}
+  FilterStream(ExecStreamPtr input, const BoundExpr* predicate,
+               const QueryContext* ctx)
+      : input_(std::move(input)), predicate_(predicate), ctx_(ctx) {}
 
   StatusOr<bool> Next(RowBatch* out) override {
     // Pull child batches directly into `out` and compact survivors in
@@ -21,7 +22,10 @@ class FilterStream : public ExecStream {
       const size_t n = out->size();
       verdicts_.resize(n);
       Status error;
-      predicate_->EvalBatch(out->rows(), n, &error, verdicts_.data());
+      EvalContext eval;
+      eval.error = &error;
+      eval.query = ctx_;
+      predicate_->EvalBatch(out->rows(), n, eval, verdicts_.data());
       NLQ_RETURN_IF_ERROR(error);
       size_t kept = 0;
       for (size_t i = 0; i < n; ++i) {
@@ -38,16 +42,19 @@ class FilterStream : public ExecStream {
  private:
   ExecStreamPtr input_;
   const BoundExpr* predicate_;
+  const QueryContext* ctx_;
   std::vector<Datum> verdicts_;
 };
 
 }  // namespace
 
 FilterNode::FilterNode(PlanNodePtr child, BoundExprPtr predicate,
-                       std::vector<std::string> conjunct_text)
+                       std::vector<std::string> conjunct_text,
+                       const QueryContext* ctx)
     : PlanNode(std::move(child)),
       predicate_(std::move(predicate)),
-      conjunct_text_(std::move(conjunct_text)) {}
+      conjunct_text_(std::move(conjunct_text)),
+      ctx_(ctx) {}
 
 std::string FilterNode::annotation() const {
   std::string out;
@@ -60,7 +67,8 @@ std::string FilterNode::annotation() const {
 
 StatusOr<ExecStreamPtr> FilterNode::OpenStreamImpl(size_t s) const {
   NLQ_ASSIGN_OR_RETURN(ExecStreamPtr input, child_->OpenStream(s));
-  return ExecStreamPtr(new FilterStream(std::move(input), predicate_.get()));
+  return ExecStreamPtr(
+      new FilterStream(std::move(input), predicate_.get(), ctx_));
 }
 
 }  // namespace nlq::engine::exec

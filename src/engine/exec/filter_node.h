@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/query_context.h"
 #include "engine/exec/plan.h"
 #include "engine/expr.h"
 
@@ -20,8 +21,11 @@ namespace nlq::engine::exec {
 /// instead.
 class FilterNode : public PlanNode {
  public:
+  /// `ctx` — optional — is polled before every scalar UDF call the
+  /// predicate makes.
   FilterNode(PlanNodePtr child, BoundExprPtr predicate,
-             std::vector<std::string> conjunct_text);
+             std::vector<std::string> conjunct_text,
+             const QueryContext* ctx = nullptr);
 
   const char* name() const override { return "Filter"; }
   std::string annotation() const override;
@@ -31,6 +35,7 @@ class FilterNode : public PlanNode {
  private:
   BoundExprPtr predicate_;
   std::vector<std::string> conjunct_text_;
+  const QueryContext* ctx_;
 };
 
 }  // namespace nlq::engine::exec

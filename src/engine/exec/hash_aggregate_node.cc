@@ -44,25 +44,21 @@ Status AccumulateStream(const PlanNode& child, size_t stream,
     if (!more) break;
     const size_t n = batch.size();
     Status error;
+    EvalContext ctx;
+    ctx.error = &error;
+    ctx.query = query_ctx;
     for (size_t k = 0; k < num_keys; ++k) {
       key_cols[k].resize(n);
-      agg.key_exprs[k]->EvalBatch(batch.rows(), n, &error,
-                                  key_cols[k].data());
+      agg.key_exprs[k]->EvalBatch(batch.rows(), n, ctx, key_cols[k].data());
     }
     NLQ_RETURN_IF_ERROR(error);
 
     for (size_t r = 0; r < n; ++r) {
       for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        NLQ_ASSIGN_OR_RETURN(GroupState fresh,
-                             InitGroupState(specs, key, memory));
-        it = groups->emplace(key, std::move(fresh)).first;
-      }
-      GroupState& state = it->second;
-      EvalContext ctx;
+      NLQ_ASSIGN_OR_RETURN(GroupState * group,
+                           FindOrInsertGroup(specs, key, memory, groups));
+      GroupState& state = *group;
       ctx.input = &batch.row(r);
-      ctx.error = &error;
       for (size_t i = 0; i < specs.size(); ++i) {
         const AggregateSpec& spec = specs[i];
         if (spec.kind == AggregateSpec::Kind::kCountStar) {
@@ -82,27 +78,7 @@ Status AccumulateStream(const PlanNode& child, size_t stream,
         }
         const Datum& v = scratch[0];
         if (v.is_null()) continue;  // SQL aggregates skip NULLs
-        BuiltinAggState& b = state.builtin[i];
-        const double x = v.AsDouble();
-        switch (spec.kind) {
-          case AggregateSpec::Kind::kSum:
-          case AggregateSpec::Kind::kAvg:
-            b.sum += x;
-            ++b.count;
-            break;
-          case AggregateSpec::Kind::kCount:
-            ++b.count;
-            break;
-          case AggregateSpec::Kind::kMin:
-            if (!b.seen || x < b.min) b.min = x;
-            break;
-          case AggregateSpec::Kind::kMax:
-            if (!b.seen || x > b.max) b.max = x;
-            break;
-          default:
-            break;
-        }
-        b.seen = true;
+        AccumulateBuiltin(spec.kind, v.AsDouble(), &state.builtin[i]);
       }
     }
   }

@@ -33,26 +33,29 @@ class MaintainedViewStream : public ExecStream {
 }  // namespace
 
 MaintainedViewNode::MaintainedViewNode(
-    ViewRegistry* registry, ViewDescriptor descriptor,
-    std::vector<ColumnarAggSpec> specs, std::vector<BoundExprPtr> projections,
+    ViewRegistry* registry, ViewDescriptor descriptor, BoundAggregation agg,
+    std::vector<VectorAggSpec> spec_args, std::vector<int> slot_to_col,
     size_t num_output, std::string view_state, ThreadPool* pool,
     const QueryContext* ctx)
     : PlanNode(nullptr),
       registry_(registry),
       descriptor_(std::move(descriptor)),
-      specs_(std::move(specs)),
-      projections_(std::move(projections)),
+      agg_(std::move(agg)),
+      spec_args_(std::move(spec_args)),
+      slot_to_col_(std::move(slot_to_col)),
       num_output_(num_output),
       view_state_(std::move(view_state)),
       pool_(pool),
       ctx_(ctx) {
-  descriptor_.specs = &specs_;
+  descriptor_.specs = &agg_.specs;
+  descriptor_.args = &spec_args_;
+  descriptor_.slot_to_col = &slot_to_col_;
 }
 
 std::string MaintainedViewNode::annotation() const {
   std::string out = StringPrintf(
       "%s: %zu aggregate(s), %zu partition(s), %s",
-      descriptor_.table_name.c_str(), specs_.size(),
+      descriptor_.table_name.c_str(), agg_.specs.size(),
       descriptor_.table->num_partitions(), view_state_.c_str());
   if (!descriptor_.filters.empty()) {
     out += ", filter: ";
@@ -69,21 +72,12 @@ StatusOr<ExecStreamPtr> MaintainedViewNode::OpenStreamImpl(size_t) const {
 }
 
 StatusOr<std::vector<Row>> MaintainedViewNode::Compute() const {
-  NLQ_ASSIGN_OR_RETURN(Row agg_values,
+  NLQ_ASSIGN_OR_RETURN(GroupState group,
                        registry_->Serve(descriptor_, pool_, ctx_));
-  const Row empty_keys;
-  Status error;
-  EvalContext ctx;
-  ctx.keys = &empty_keys;
-  ctx.aggs = &agg_values;
-  ctx.error = &error;
-  Row out(num_output_);
-  for (size_t c = 0; c < num_output_; ++c) {
-    out[c] = projections_[c]->Eval(ctx);
-  }
-  NLQ_RETURN_IF_ERROR(error);
-  std::vector<Row> rows;
-  rows.push_back(std::move(out));
+  std::vector<Row> rows(1);
+  NLQ_RETURN_IF_ERROR(ProjectGroup(agg_, /*has_having=*/false, num_output_,
+                                   group, &rows[0])
+                          .status());
   return rows;
 }
 

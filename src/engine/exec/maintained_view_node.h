@@ -18,17 +18,21 @@ namespace nlq::engine::exec {
 /// maintained-view registry: refresh (delta-accumulate rows appended
 /// past each partition watermark — O(delta), not O(n)), merge a clone
 /// of the stored per-morsel partials in morsel-index order, finalize,
-/// project. Planned instead of ColumnarScan→ColumnarAggregate when
-/// view maintenance is on and the statement's shape is maintainable;
-/// results are bit-identical to that pipeline by construction (shared
-/// accumulate/merge/finalize code, same grid, same fold order).
+/// project. Planned instead of ColumnarScan→VectorHashAggregate when
+/// view maintenance is on and the global aggregate's shape is
+/// maintainable; results are bit-identical to that pipeline by
+/// construction (shared zero-key accumulate/merge/finalize code, same
+/// grid, same fold order).
 class MaintainedViewNode : public PlanNode {
  public:
   /// `view_state` is the plan-time freshness annotation
   /// ("view=fresh delta=Δ of N row(s)" / "view=stale (seeding ...)").
+  /// `agg` (zero keys), `spec_args` and `slot_to_col` come from the
+  /// vector pipeline the view replaces; the descriptor is pointed at
+  /// them.
   MaintainedViewNode(ViewRegistry* registry, ViewDescriptor descriptor,
-                     std::vector<ColumnarAggSpec> specs,
-                     std::vector<BoundExprPtr> projections, size_t num_output,
+                     BoundAggregation agg, std::vector<VectorAggSpec> spec_args,
+                     std::vector<int> slot_to_col, size_t num_output,
                      std::string view_state, ThreadPool* pool,
                      const QueryContext* ctx);
 
@@ -45,8 +49,9 @@ class MaintainedViewNode : public PlanNode {
  private:
   ViewRegistry* registry_;
   ViewDescriptor descriptor_;
-  std::vector<ColumnarAggSpec> specs_;  // descriptor_.specs points here
-  std::vector<BoundExprPtr> projections_;
+  BoundAggregation agg_;  // descriptor_ points at these three
+  std::vector<VectorAggSpec> spec_args_;
+  std::vector<int> slot_to_col_;
   size_t num_output_;
   std::string view_state_;
   ThreadPool* pool_;

@@ -7,7 +7,6 @@
 
 #include "common/strings.h"
 #include "engine/exec/bytecode.h"
-#include "engine/exec/columnar_aggregate_node.h"
 #include "engine/exec/columnar_scan_node.h"
 #include "engine/exec/cross_join_node.h"
 #include "engine/exec/filter_node.h"
@@ -219,16 +218,8 @@ bool IsAggregateSelect(const SelectStatement& select,
 }
 
 // ---------------------------------------------------------------------------
-// Columnar fast path eligibility
+// Columnar pipeline (compiled bytecode over span batches)
 // ---------------------------------------------------------------------------
-
-/// Columnar fast-path plan fragment assembled by TryColumnarFastPath.
-struct ColumnarCandidate {
-  bool eligible = false;
-  std::vector<size_t> slots;           // driver schema slots to decode
-  std::vector<ColumnFilter> filters;   // cols are indices into `slots`
-  std::vector<ColumnarAggSpec> specs;  // parallel to the bound specs
-};
 
 /// Projection index of `slot`, appending it on first use.
 size_t ProjectSlot(std::vector<size_t>* slots, size_t slot) {
@@ -304,75 +295,6 @@ bool TrySimpleSpanFilter(const Expr& conj, const FromInputs& inputs,
   f->text = conj.ToString();
   return true;
 }
-
-/// Decides whether a bound global aggregate can run on the columnar
-/// fast path, and if so reduces it to scan slots, pushed-down span
-/// filters and ColumnarAggSpecs. Eligible queries aggregate a single
-/// base table without GROUP BY / HAVING, every aggregate argument is a
-/// bare numeric column reference (after an aggregate UDF's leading
-/// literal arguments), and the WHERE clause — if any — is a
-/// conjunction of `column <op> numeric-literal` comparisons. Anything
-/// else stays on the row path.
-ColumnarCandidate TryColumnarFastPath(const FromInputs& inputs,
-                                      const BoundAggregation& agg,
-                                      bool has_having) {
-  ColumnarCandidate cand;
-  if (inputs.driver == nullptr || !inputs.small.empty()) return cand;
-  if (!agg.key_exprs.empty() || has_having) return cand;
-
-  for (const Expr* conj : inputs.residual) {
-    ColumnFilter f;
-    if (!TrySimpleSpanFilter(*conj, inputs, &cand.slots, &f)) {
-      return cand;
-    }
-    cand.filters.push_back(std::move(f));
-  }
-
-  for (const AggregateSpec& spec : agg.specs) {
-    ColumnarAggSpec cs;
-    cs.kind = spec.kind;
-    cs.udaf = spec.udaf;
-    cs.result_type = spec.result_type;
-    if (spec.kind == AggregateSpec::Kind::kUdf) {
-      if (spec.udaf == nullptr || !spec.udaf->SupportsColumnarSpans()) {
-        return cand;
-      }
-      size_t a = 0;
-      storage::Datum lit;
-      while (a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit)) {
-        cs.const_args.push_back(std::move(lit));
-        ++a;
-      }
-      if (a == spec.args.size()) return cand;  // no column spans at all
-      for (; a < spec.args.size(); ++a) {
-        size_t slot = 0;
-        if (!spec.args[a]->AsInputRef(&slot) ||
-            spec.args[a]->result_type() == DataType::kVarchar) {
-          return cand;
-        }
-        cs.arg_cols.push_back(ProjectSlot(&cand.slots, slot));
-      }
-    } else if (spec.kind != AggregateSpec::Kind::kCountStar) {
-      size_t slot = 0;
-      if (spec.args.size() != 1 || !spec.args[0]->AsInputRef(&slot) ||
-          spec.args[0]->result_type() == DataType::kVarchar) {
-        return cand;
-      }
-      cs.arg_cols.push_back(ProjectSlot(&cand.slots, slot));
-    }
-    cand.specs.push_back(std::move(cs));
-  }
-
-  // A pure COUNT(*) query decodes no columns; the row path is already
-  // optimal there.
-  if (cand.slots.empty()) return cand;
-  cand.eligible = true;
-  return cand;
-}
-
-// ---------------------------------------------------------------------------
-// General columnar pipeline (compiled bytecode over span batches)
-// ---------------------------------------------------------------------------
 
 /// Plan fragment for the general columnar pipeline, assembled by
 /// TryVectorAggregate / TryVectorProjection. `slots` lists the driver
@@ -511,11 +433,14 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
   return true;
 }
 
-/// Second-chance plan for aggregates the fused fast path rejected:
-/// GROUP BY keys and aggregate arguments compile to bytecode and run
-/// over span batches (aggregate UDFs keep leading literal arguments as
-/// constants, like the fast path). HAVING and the SELECT projections
-/// operate per group on (keys, aggs) rows and stay interpreted.
+/// Vector-pipeline plan of an aggregate: GROUP BY keys and aggregate
+/// arguments compile to bytecode and run over span batches (aggregate
+/// UDFs keep leading literal arguments as constants). Bare column
+/// arguments also record their span column, and a zero-key UDF call
+/// whose non-constant arguments are all bare columns is marked
+/// `on_spans` (AccumulateSpans over the scan's spans). HAVING and the
+/// SELECT projections operate per group on (keys, aggs) rows and stay
+/// interpreted.
 VectorPipeline TryVectorAggregate(const FromInputs& inputs,
                                   const BoundAggregation& agg,
                                   const udf::UdfRegistry* registry,
@@ -557,7 +482,52 @@ VectorPipeline TryVectorAggregate(const FromInputs& inputs,
     p.spec_args.push_back(std::move(vs));
   }
   if (!FinishPipeline(inputs, &p)) return VectorPipeline{};
+  for (size_t i = 0; i < agg.specs.size(); ++i) {
+    const AggregateSpec& spec = agg.specs[i];
+    VectorAggSpec& vs = p.spec_args[i];
+    bool all_cols = true;
+    for (size_t a = 0; a < vs.args.size(); ++a) {
+      if (vs.args[a].prog == nullptr) continue;
+      size_t slot = 0;
+      if (spec.args[a]->AsInputRef(&slot) &&
+          spec.args[a]->result_type() != DataType::kVarchar) {
+        vs.args[a].col = p.slot_to_col[slot];
+      } else {
+        all_cols = false;
+      }
+    }
+    vs.on_spans = agg.key_exprs.empty() &&
+                  spec.kind == AggregateSpec::Kind::kUdf &&
+                  spec.udaf != nullptr && spec.udaf->SupportsColumnarSpans() &&
+                  all_cols && !vs.args.empty() &&
+                  vs.args.back().prog != nullptr;
+  }
   return p;
+}
+
+/// True when a planned aggregate has the maintained-view shape: a
+/// global aggregate over the driver table alone, every WHERE conjunct
+/// pushed into the scan, every argument a leading constant or a bare
+/// column, and every aggregate UDF call `on_spans`.
+bool ViewShape(const FromInputs& inputs, const BoundAggregation& agg,
+               bool has_having, const VectorPipeline& vp) {
+  if (!agg.key_exprs.empty() || has_having || !inputs.small.empty() ||
+      vp.where_prog != nullptr) {
+    return false;
+  }
+  for (size_t i = 0; i < agg.specs.size(); ++i) {
+    const VectorAggSpec& vs = vp.spec_args[i];
+    switch (agg.specs[i].kind) {
+      case AggregateSpec::Kind::kCountStar:
+        break;
+      case AggregateSpec::Kind::kUdf:
+        if (!vs.on_spans) return false;
+        break;
+      default:
+        if (vs.args[0].col < 0) return false;
+    }
+  }
+  return true;
 }
 
 /// Pipeline form for plain projections: every SELECT item's bound
@@ -639,9 +609,9 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
           std::move(small.display), std::move(small.pushed_texts));
     }
     if (inputs.residual_where != nullptr) {
-      node = std::make_unique<FilterNode>(std::move(node),
-                                          std::move(inputs.residual_where),
-                                          std::move(inputs.residual_texts));
+      node = std::make_unique<FilterNode>(
+          std::move(node), std::move(inputs.residual_where),
+          std::move(inputs.residual_texts), ctx_);
     }
     return node;
   };
@@ -707,34 +677,45 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       out_cols.push_back({ResultColumnName(select.items[i], i),
                           agg.projections[i]->result_type()});
     }
-    ColumnarCandidate cand = vectorize
-                                 ? TryColumnarFastPath(inputs, agg, has_having)
-                                 : ColumnarCandidate();
     VectorPipeline vp;
-    if (!cand.eligible && vectorize) {
+    if (vectorize) {
       vp = TryVectorAggregate(inputs, agg, registry_, bytecode_cache_);
     }
-    if (cand.eligible) {
-      // Maintained-view decision: a global aggregate on the fused fast
-      // path whose states are relocatable can be served from (and
+    if (vp.eligible) {
+      // Maintained-view decision: a global aggregate of the view shape
+      // whose states are relocatable can be served from (and
       // incrementally maintain) registered per-morsel partials. A
       // spilled or unmaintainable statement, and the one statement that
-      // observes a just-invalidated entry, runs the normal columnar
-      // pipeline with an explanatory EXPLAIN note instead.
+      // observes a just-invalidated entry, runs the vector pipeline with
+      // an explanatory EXPLAIN note instead. Grouped n,L,Q aggregates
+      // stay unmaintained: hash-table output ordering is not replayable
+      // bit-identically (DESIGN.md §13).
       std::string view_note;
-      bool planned_view = false;
-      if (views_ != nullptr) {
+      if (views_ != nullptr && !agg.key_exprs.empty()) {
+        for (const AggregateSpec& spec : agg.specs) {
+          if (spec.kind == AggregateSpec::Kind::kUdf) {
+            view_note = "view=ineligible (group-by)";
+          }
+        }
+      } else if (views_ != nullptr && ViewShape(inputs, agg, has_having, vp)) {
+        bool relocatable = true;
+        for (const AggregateSpec& spec : agg.specs) {
+          relocatable &= spec.kind != AggregateSpec::Kind::kUdf ||
+                         spec.udaf->RelocatableStateSize() > 0;
+        }
         if (inputs.driver->is_spilled()) {
           view_note = "view=ineligible (spilled)";
-        } else if (!MaintainableSpecs(cand.specs)) {
+        } else if (!relocatable) {
           view_note = "view=ineligible (non-relocatable aggregate state)";
         } else {
           ViewDescriptor d;
           d.table = inputs.driver;
           d.table_name = select.from[0].table_name;
-          d.slots = cand.slots;
-          d.filters = cand.filters;
-          d.specs = &cand.specs;
+          d.slots = vp.slots;
+          d.filters = vp.scan_filters;
+          d.specs = &agg.specs;
+          d.args = &vp.spec_args;
+          d.slot_to_col = &vp.slot_to_col;
           d.morsel_rows = morsel_rows_;
           d.batch_capacity = batch_capacity_;
           const ViewProbe probe = views_->Probe(d);
@@ -753,48 +734,28 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
                           "view=stale (seeding %llu row(s))",
                           static_cast<unsigned long long>(probe.total_rows));
             node = std::make_unique<MaintainedViewNode>(
-                views_, std::move(d), std::move(cand.specs),
-                std::move(agg.projections), select.items.size(),
+                views_, std::move(d), std::move(agg), std::move(vp.spec_args),
+                std::move(vp.slot_to_col), select.items.size(),
                 std::move(state), pool_, ctx_);
-            planned_view = true;
           }
         }
       }
-      if (!planned_view) {
-        // Replace the row-oriented scan/filter chain with the columnar
-        // one; the pushed-down comparisons run on column spans inside
-        // the scan.
-        auto scan = columnar_scan(std::move(cand.slots),
-                                  std::move(cand.filters),
-                                  enable_column_cache_);
-        auto cagg = std::make_unique<ColumnarAggregateNode>(
-            std::move(scan), std::move(cand.specs), std::move(agg.projections),
+      if (node == nullptr) {
+        // Keys and aggregate arguments run compiled over span batches;
+        // non-pushable WHERE conjuncts run as one compiled VectorFilter
+        // program.
+        const ColumnarScanNode* scan_ptr = nullptr;
+        PlanNodePtr chain =
+            vector_input(&vp, enable_column_cache_, &scan_ptr);
+        auto vagg = std::make_unique<VectorHashAggregateNode>(
+            std::move(chain), scan_ptr, std::move(agg),
+            std::move(vp.key_progs), std::move(vp.spec_args),
+            std::move(vp.slot_to_col), has_having,
+            has_having ? select.having->ToString() : std::string(),
             select.items.size(), pool_, ctx_);
-        if (!view_note.empty()) cagg->set_view_note(std::move(view_note));
-        node = std::move(cagg);
+        if (!view_note.empty()) vagg->set_view_note(std::move(view_note));
+        node = std::move(vagg);
       }
-    } else if (vp.eligible) {
-      // General columnar pipeline: GROUP BY keys and aggregate
-      // arguments run compiled over span batches; non-pushable WHERE
-      // conjuncts run as one compiled VectorFilter program.
-      const ColumnarScanNode* scan_ptr = nullptr;
-      PlanNodePtr chain = vector_input(&vp, enable_column_cache_, &scan_ptr);
-      bool grouped_udf = false;
-      if (views_ != nullptr && !agg.key_exprs.empty()) {
-        for (const AggregateSpec& spec : agg.specs) {
-          if (spec.kind == AggregateSpec::Kind::kUdf) grouped_udf = true;
-        }
-      }
-      auto vagg = std::make_unique<VectorHashAggregateNode>(
-          std::move(chain), scan_ptr, std::move(agg),
-          std::move(vp.key_progs), std::move(vp.spec_args),
-          std::move(vp.slot_to_col), has_having,
-          has_having ? select.having->ToString() : std::string(),
-          select.items.size(), pool_, ctx_);
-      // Grouped n,L,Q aggregates stay unmaintained: hash-table output
-      // ordering is not replayable bit-identically (DESIGN.md §13).
-      if (grouped_udf) vagg->set_view_note("view=ineligible (group-by)");
-      node = std::move(vagg);
     } else {
       node = std::make_unique<HashAggregateNode>(
           row_input(), std::move(agg), has_having,
@@ -838,7 +799,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       // Row path: the interpreted oracle, and the fallback for what the
       // pipeline cannot compile (VARCHAR expressions).
       node = std::make_unique<ProjectNode>(row_input(),
-                                           std::move(projections));
+                                           std::move(projections), ctx_);
     }
     if (node->num_streams() > 1) {
       node = std::make_unique<GatherNode>(std::move(node), pool_,

@@ -30,6 +30,9 @@ struct PhysicalPlan {
 ///   [Limit] <- [Sort] <- Gather|HashAggregate <- [Filter]
 ///       <- [CrossJoin...] <- ParallelScan|ConstantInput
 ///
+/// (the interpreted row path: the differential oracle, and the
+/// fallback for what the columnar pipeline cannot compile).
+///
 /// Planning performs all binding (scope resolution, aggregate
 /// extraction, WHERE-conjunct pushdown into the materialized small
 /// tables, ORDER BY binding over the result schema) so that
@@ -37,29 +40,22 @@ struct PhysicalPlan {
 /// the driver table; only the small cross-join sides are
 /// materialized, exactly as the previous monolithic executor did.
 ///
-/// Global aggregates over a single base table whose aggregate
-/// arguments are bare column references — the paper's N,L,Q summary
-/// queries — are planned as the columnar fast path instead:
+/// With expression compilation enabled, single-table SELECTs whose
+/// expressions all compile to bytecode run on the columnar pipeline:
 ///
-///   [Limit] <- [Sort] <- ColumnarAggregate <- ColumnarScan
-///
-/// The WHERE clause (if any) must consist of simple
-/// `column <op> literal` comparisons, which are pushed into the scan
-/// and evaluated on column spans; anything else falls back to the row
-/// path, which remains the correctness oracle for the columnar one.
-///
-/// Queries the fused fast path rejects get a second chance on the
-/// general columnar pipeline (when expression compilation is enabled):
-/// single-table SELECTs — grouped aggregates included — whose
-/// expressions all compile to bytecode run as
-///
-///   VectorHashAggregate <- [VectorFilter] <- ColumnarScan      or
+///   [Limit] <- [Sort] <- VectorHashAggregate <- [VectorFilter]
+///       <- ColumnarScan                                        or
 ///   [Limit] <- [Sort] <- Gather <- VectorProject
 ///       <- [VectorFilter] <- ColumnarScan
 ///
-/// with simple comparisons still pushed into the scan and the
-/// remaining WHERE conjuncts ANDed into one compiled VectorFilter
-/// program; scalar UDF calls compile to span calls. A FROM-list model
+/// with simple `column <op> literal` comparisons pushed into the scan
+/// and the remaining WHERE conjuncts ANDed into one compiled
+/// VectorFilter program; scalar UDF calls compile to span calls. A
+/// global aggregate is VectorHashAggregate's zero-key group; in it, an
+/// aggregate UDF call whose non-constant arguments are all bare
+/// columns — the paper's N,L,Q summary queries — accumulates straight
+/// off the scan's column spans (AggregateUdf::AccumulateSpans). A
+/// FROM-list model
 /// table that WHERE pushdown leaves with exactly one row is bound as
 /// constants rather than cross-joined, so the paper's scoring
 /// statements are single-table here; one left with no rows empties
@@ -77,14 +73,14 @@ class Planner {
   /// planned node that loops over batches or claims morsels polls it,
   /// and memory-hungry operators charge its MemoryTracker. The context
   /// must outlive the plan's execution.
-  /// `enable_expr_compile` gates every vectorized choice (the fused
-  /// fast path, the general pipeline, constant binding of one-row
-  /// model tables): off plans the pure interpreted row path, the
+  /// `enable_expr_compile` gates every vectorized choice (the columnar
+  /// pipeline, maintained views, constant binding of one-row model
+  /// tables): off plans the pure interpreted row path, the
   /// differential oracle.
   /// `bytecode_cache` — optional — deduplicates compiled programs
   /// across statements; it must outlive the plan.
   /// `views` — optional — is the maintained-view registry: when set,
-  /// eligible global n,L,Q aggregates plan a MaintainedViewScan that
+  /// eligible global aggregates plan a MaintainedViewScan that
   /// serves (and incrementally refreshes) materialized per-morsel
   /// partials instead of rescanning; it must outlive the plan.
   Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,

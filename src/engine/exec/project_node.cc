@@ -12,8 +12,9 @@ using storage::Datum;
 class ProjectStream : public ExecStream {
  public:
   ProjectStream(ExecStreamPtr input,
-                const std::vector<BoundExprPtr>* projections)
-      : input_(std::move(input)), projections_(projections) {}
+                const std::vector<BoundExprPtr>* projections,
+                const QueryContext* ctx)
+      : input_(std::move(input)), projections_(projections), ctx_(ctx) {}
 
   StatusOr<bool> Next(RowBatch* out) override {
     out->Clear();
@@ -26,9 +27,12 @@ class ProjectStream : public ExecStream {
     const size_t width = projections_->size();
     for (size_t i = 0; i < n; ++i) out->AppendRow().resize(width);
     Status error;
+    EvalContext eval;
+    eval.error = &error;
+    eval.query = ctx_;
     column_.resize(n);
     for (size_t c = 0; c < width; ++c) {
-      (*projections_)[c]->EvalBatch(in_batch_.rows(), n, &error,
+      (*projections_)[c]->EvalBatch(in_batch_.rows(), n, eval,
                                     column_.data());
       for (size_t i = 0; i < n; ++i) {
         out->row(i)[c] = std::move(column_[i]);
@@ -41,6 +45,7 @@ class ProjectStream : public ExecStream {
  private:
   ExecStreamPtr input_;
   const std::vector<BoundExprPtr>* projections_;
+  const QueryContext* ctx_;
   RowBatch in_batch_{0};
   std::vector<Datum> column_;
 };
@@ -48,10 +53,12 @@ class ProjectStream : public ExecStream {
 }  // namespace
 
 ProjectNode::ProjectNode(PlanNodePtr child,
-                         std::vector<BoundExprPtr> projections)
+                         std::vector<BoundExprPtr> projections,
+                         const QueryContext* ctx)
     : PlanNode(std::move(child)),
       projections_(std::move(projections)),
-      pass_through_(false) {}
+      pass_through_(false),
+      ctx_(ctx) {}
 
 ProjectNode::ProjectNode(PlanNodePtr child)
     : PlanNode(std::move(child)), pass_through_(true) {}
@@ -68,7 +75,8 @@ size_t ProjectNode::output_width() const {
 StatusOr<ExecStreamPtr> ProjectNode::OpenStreamImpl(size_t s) const {
   NLQ_ASSIGN_OR_RETURN(ExecStreamPtr input, child_->OpenStream(s));
   if (pass_through_) return input;  // forward child batches unchanged
-  return ExecStreamPtr(new ProjectStream(std::move(input), &projections_));
+  return ExecStreamPtr(
+      new ProjectStream(std::move(input), &projections_, ctx_));
 }
 
 }  // namespace nlq::engine::exec

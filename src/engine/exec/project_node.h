@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/query_context.h"
 #include "engine/exec/plan.h"
 #include "engine/expr.h"
 
@@ -23,8 +24,10 @@ namespace nlq::engine::exec {
 /// the previous executor).
 class ProjectNode : public PlanNode {
  public:
-  /// Projection form.
-  ProjectNode(PlanNodePtr child, std::vector<BoundExprPtr> projections);
+  /// Projection form. `ctx` — optional — is polled before every
+  /// scalar UDF call the projections make.
+  ProjectNode(PlanNodePtr child, std::vector<BoundExprPtr> projections,
+              const QueryContext* ctx = nullptr);
 
   /// Pass-through (`SELECT *`) form.
   explicit ProjectNode(PlanNodePtr child);
@@ -37,6 +40,7 @@ class ProjectNode : public PlanNode {
  private:
   std::vector<BoundExprPtr> projections_;
   bool pass_through_;
+  const QueryContext* ctx_ = nullptr;
 };
 
 }  // namespace nlq::engine::exec

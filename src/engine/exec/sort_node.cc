@@ -123,9 +123,12 @@ Status SortNode::SortRows(std::vector<Row>* rows) const {
   // the materialized (contiguous) rows.
   std::vector<std::vector<Datum>> keys(num_keys);
   Status error;
+  EvalContext eval;
+  eval.error = &error;
+  eval.query = ctx_;
   for (size_t k = 0; k < num_keys; ++k) {
     keys[k].resize(n);
-    key_exprs_[k]->EvalBatch(rows->data(), n, &error, keys[k].data());
+    key_exprs_[k]->EvalBatch(rows->data(), n, eval, keys[k].data());
   }
   NLQ_RETURN_IF_ERROR(error);
 

@@ -3,19 +3,15 @@
 #include <memory>
 #include <utility>
 
-#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "engine/exec/aggregate_state.h"
 #include "engine/exec/gather_node.h"
-#include "storage/column_batch.h"
 
 namespace nlq::engine::exec {
 namespace {
 
-using storage::DataType;
 using storage::Datum;
-using storage::NullBitGet;
 using storage::Row;
 
 class VectorAggregateStream : public ExecStream {
@@ -38,9 +34,9 @@ class VectorAggregateStream : public ExecStream {
   std::unique_ptr<VectorStream> replay_;
 };
 
-/// ROW phase over one columnar stream: keys and aggregate arguments
-/// run through the VM per batch, groups resolve per row in batch
-/// order, accumulation runs per (spec, row) off the result registers.
+/// ROW phase over one columnar stream: keys run through the VM per
+/// batch and groups resolve per row in batch order; the zero-key group
+/// is seeded when the stream opens and resolves once per batch.
 Status AccumulateColumnStream(const PlanNode& child, size_t stream,
                               const BoundAggregation& agg,
                               const std::vector<CompiledExprPtr>& key_progs,
@@ -48,19 +44,22 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
                               const std::vector<int>& slot_to_col,
                               const QueryContext* query_ctx,
                               GroupMap* groups) {
-  NLQ_ASSIGN_OR_RETURN(ColumnStreamPtr source, child.OpenColumnStream(stream));
-  const std::vector<AggregateSpec>& specs = agg.specs;
   const size_t num_keys = key_progs.size();
   MemoryTracker* memory =
       query_ctx != nullptr ? query_ctx->memory() : nullptr;
+  GroupState* global = nullptr;
+  if (num_keys == 0) {
+    NLQ_ASSIGN_OR_RETURN(global,
+                         FindOrInsertGroup(agg.specs, Row{}, memory, groups));
+  }
+  NLQ_ASSIGN_OR_RETURN(ColumnStreamPtr source, child.OpenColumnStream(stream));
 
   ColumnSpanBatch batch;
-  ExprVM vm(query_ctx);
+  SpanAccumulator acc(agg.specs, spec_args, slot_to_col, query_ctx);
+  ExprVM& vm = *acc.vm();
   std::vector<std::vector<Datum>> key_cols(num_keys);
   Row key(num_keys);
   std::vector<GroupState*> group_of;
-  std::vector<ExprVM::Reg> arg_regs;
-  std::vector<Datum> scratch;
 
   for (;;) {
     if (query_ctx != nullptr) NLQ_RETURN_IF_ERROR(query_ctx->CheckAlive());
@@ -68,90 +67,24 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
     if (!more) break;
     const size_t n = batch.rows;
 
-    for (size_t k = 0; k < num_keys; ++k) {
-      NLQ_RETURN_IF_ERROR(vm.EvalSpans(*key_progs[k], batch, slot_to_col, n));
-      key_cols[k].resize(n);
-      vm.BoxResult(*key_progs[k], n, key_cols[k].data());
-    }
-
-    // Resolve groups per row, in batch order — the insertion sequence
-    // (and therefore the hash table's iteration order at FINALIZE)
-    // matches the row path's exactly.
-    group_of.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        NLQ_ASSIGN_OR_RETURN(GroupState fresh,
-                             InitGroupState(specs, key, memory));
-        it = groups->emplace(key, std::move(fresh)).first;
+    if (global == nullptr) {
+      for (size_t k = 0; k < num_keys; ++k) {
+        NLQ_RETURN_IF_ERROR(
+            vm.EvalSpans(*key_progs[k], batch, slot_to_col, n));
+        key_cols[k].resize(n);
+        vm.BoxResult(*key_progs[k], n, key_cols[k].data());
       }
-      group_of[r] = &it->second;
-    }
-
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const AggregateSpec& spec = specs[i];
-      if (spec.kind == AggregateSpec::Kind::kCountStar) {
-        for (size_t r = 0; r < n; ++r) ++group_of[r]->builtin[i].count;
-        continue;
-      }
-      if (spec.kind == AggregateSpec::Kind::kUdf) {
-        const std::vector<VectorAggArg>& args = spec_args[i].args;
-        // Copy every non-constant argument's result out of the VM so
-        // all argument lanes coexist for the per-row assembly.
-        arg_regs.resize(args.size());
-        for (size_t a = 0; a < args.size(); ++a) {
-          if (args[a].prog == nullptr) continue;
-          NLQ_RETURN_IF_ERROR(
-              vm.EvalSpans(*args[a].prog, batch, slot_to_col, n));
-          vm.CopyResult(*args[a].prog, n, &arg_regs[a]);
-        }
-        scratch.resize(args.size());
-        for (size_t r = 0; r < n; ++r) {
-          for (size_t a = 0; a < args.size(); ++a) {
-            scratch[a] = args[a].prog == nullptr
-                             ? args[a].constant
-                             : BoxRegValue(arg_regs[a],
-                                           args[a].prog->result_type(), r);
-          }
-          NLQ_FAILPOINT("udf_accumulate");
-          NLQ_RETURN_IF_ERROR(
-              spec.udaf->Accumulate(group_of[r]->udf_states[i], scratch));
-        }
-        continue;
-      }
-      // SQL builtin: one argument program; accumulate straight off the
-      // result register, skipping NULL lanes like the interpreter.
-      const CompiledExpr& prog = *spec_args[i].args[0].prog;
-      NLQ_RETURN_IF_ERROR(vm.EvalSpans(prog, batch, slot_to_col, n));
-      const ExprVM::Reg& res = vm.result(prog);
-      const bool is_double = prog.result_type() == DataType::kDouble;
+      // Resolve groups per row, in batch order — the insertion sequence
+      // (and therefore the hash table's iteration order at FINALIZE)
+      // matches the row path's exactly.
+      group_of.resize(n);
       for (size_t r = 0; r < n; ++r) {
-        if (res.has_nulls && NullBitGet(res.nulls.data(), r)) continue;
-        const double x =
-            is_double ? res.d[r] : static_cast<double>(res.i[r]);
-        BuiltinAggState& b = group_of[r]->builtin[i];
-        switch (spec.kind) {
-          case AggregateSpec::Kind::kSum:
-          case AggregateSpec::Kind::kAvg:
-            b.sum += x;
-            ++b.count;
-            break;
-          case AggregateSpec::Kind::kCount:
-            ++b.count;
-            break;
-          case AggregateSpec::Kind::kMin:
-            if (!b.seen || x < b.min) b.min = x;
-            break;
-          case AggregateSpec::Kind::kMax:
-            if (!b.seen || x > b.max) b.max = x;
-            break;
-          default:
-            break;
-        }
-        b.seen = true;
+        for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
+        NLQ_ASSIGN_OR_RETURN(group_of[r],
+                             FindOrInsertGroup(agg.specs, key, memory, groups));
       }
     }
+    NLQ_RETURN_IF_ERROR(acc.Accumulate(batch, global, group_of.data()));
 
     if (query_ctx != nullptr && query_ctx->stats() != nullptr) {
       query_ctx->stats()->rows_vectorized.fetch_add(
@@ -190,6 +123,9 @@ std::string VectorHashAggregateNode::annotation() const {
     if (spec.kind == AggregateSpec::Kind::kUdf) ++udfs;
   }
   if (udfs > 0) out += StringPrintf(", %zu aggregate UDF call(s)", udfs);
+  size_t on_spans = 0;
+  for (const VectorAggSpec& spec : spec_args_) on_spans += spec.on_spans;
+  if (on_spans > 0) out += StringPrintf(" (%zu on column spans)", on_spans);
   if (has_having_) out += ", having: " + having_text_;
   out += StringPrintf("; merge: %zu partial state(s) per group, %zu worker(s)",
                       child_->num_streams(),

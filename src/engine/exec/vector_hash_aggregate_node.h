@@ -6,6 +6,7 @@
 
 #include "common/query_context.h"
 #include "common/threadpool.h"
+#include "engine/exec/aggregate_state.h"
 #include "engine/exec/bytecode.h"
 #include "engine/exec/columnar_scan_node.h"
 #include "engine/exec/plan.h"
@@ -13,28 +14,19 @@
 
 namespace nlq::engine::exec {
 
-/// One aggregate-call argument in the vectorized ROW phase: either a
-/// compiled program evaluated per batch, or a literal Datum passed
-/// through unchanged (aggregate UDFs like nlq_list take leading
-/// VARCHAR configuration literals, which must not require
-/// compilation).
-struct VectorAggArg {
-  CompiledExprPtr prog;     // null when `constant` applies
-  storage::Datum constant;
-};
-
-/// Per-AggregateSpec compiled arguments, parallel to
-/// BoundAggregation::specs. COUNT(*) has none; SQL builtins have
-/// exactly one program.
-struct VectorAggSpec {
-  std::vector<VectorAggArg> args;
-};
-
-/// GROUP BY hash aggregation over the columnar pipeline: the same
-/// INIT / ROW / MERGE / FINALIZE protocol as HashAggregateNode (the
-/// shared state machinery in aggregate_state.h), but the ROW phase
-/// evaluates GROUP BY keys and aggregate arguments through compiled
-/// bytecode over span batches instead of interpreted Datum trees.
+/// Hash aggregation over the columnar pipeline: the same INIT / ROW /
+/// MERGE / FINALIZE protocol as HashAggregateNode (the shared state
+/// machinery in aggregate_state.h), but the ROW phase evaluates GROUP
+/// BY keys and aggregate arguments through compiled bytecode over span
+/// batches instead of interpreted Datum trees.
+///
+/// A global aggregate is the zero-key group: each stream seeds it when
+/// it opens (so every morsel has a partial state and the merge folds
+/// all of them in morsel-index order), it resolves once per batch
+/// rather than per row, COUNT(*) adds the batch's row count, bare
+/// column arguments are read straight off the spans and `on_spans`
+/// aggregate UDF calls (the paper's n,L,Q builds) go through
+/// AggregateUdf::AccumulateSpans on those spans, zero-copy.
 ///
 /// Bit-exactness with the row path holds because (a) group-key Datums
 /// are boxed from the same arithmetic the interpreter performs, (b)

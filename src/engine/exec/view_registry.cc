@@ -46,12 +46,13 @@ void AppendDatumKey(const Datum& v, std::string* out) {
 /// at the scanner's decoded columns, pushed-down filters ANDed into a
 /// keep mask, fully-filtered batches skipped entirely (AccumulateSpans
 /// is never called for them — matching ColumnarScanStream::Filter),
-/// surviving batches compacted order-preserving. Identical code path
-/// shape ⇒ identical FP operation sequence ⇒ identical bits.
+/// surviving batches compacted order-preserving, then the zero-key ROW
+/// phase VectorHashAggregateNode runs. Identical code path shape ⇒
+/// identical FP operation sequence ⇒ identical bits.
 Status AccumulateRange(const storage::Table& part, const ViewDescriptor& d,
-                       PartialState* state, uint64_t begin, uint64_t end,
+                       GroupState* state, uint64_t begin, uint64_t end,
                        const QueryContext* ctx, bool use_failpoint,
-                       SpanScratch* scratch,
+                       SpanAccumulator* acc,
                        std::vector<ScratchColumn>* compact,
                        std::vector<uint8_t>* keep) {
   if (use_failpoint) NLQ_FAILPOINT("view_maintenance");
@@ -85,7 +86,7 @@ Status AccumulateRange(const storage::Table& part, const ViewDescriptor& d,
       }
       if (CompactColumnSpans(&span, keep->data(), compact) == 0) continue;
     }
-    NLQ_RETURN_IF_ERROR(AccumulateSpecsBatch(*d.specs, span, state, scratch));
+    NLQ_RETURN_IF_ERROR(acc->Accumulate(span, state, nullptr));
   }
   if (ctx != nullptr && ctx->stats() != nullptr) {
     ctx->stats()->pages_decoded.fetch_add(scanner.pages_decoded(),
@@ -110,16 +111,20 @@ std::string ViewRegistry::KeyOf(const ViewDescriptor& d) {
     key += ";";
   }
   key += "|a:";
-  for (const ColumnarAggSpec& spec : *d.specs) {
+  for (size_t i = 0; i < d.specs->size(); ++i) {
+    const AggregateSpec& spec = (*d.specs)[i];
     key += StringPrintf("%d:", static_cast<int>(spec.kind));
     if (spec.udaf != nullptr) key += spec.udaf->name();
     key += "(";
-    for (const Datum& c : spec.const_args) {
-      AppendDatumKey(c, &key);
+    for (const VectorAggArg& arg : (*d.args)[i].args) {
+      if (arg.prog == nullptr) {
+        AppendDatumKey(arg.constant, &key);
+      } else {
+        key += StringPrintf("#%d", arg.col);
+      }
       key += ",";
     }
     key += ")";
-    for (const size_t col : spec.arg_cols) key += StringPrintf("%zu,", col);
     key += StringPrintf("%d;", static_cast<int>(spec.result_type));
   }
   key += StringPrintf("|m:%llu", static_cast<unsigned long long>(d.morsel_rows));
@@ -178,7 +183,7 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
     if (cur == wm) return Status::OK();
     const uint64_t mr = d.morsel_rows;
     auto& plist = e->partials[p];
-    SpanScratch scratch;
+    SpanAccumulator acc(*d.specs, *d.args, *d.slot_to_col, ctx);
     std::vector<ScratchColumn> compact(d.slots.size());
     std::vector<uint8_t> keep;
     while (wm < cur) {
@@ -193,13 +198,13 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
           mr == 0 ? cur
                   : std::min(cur, (static_cast<uint64_t>(mi) + 1) * mr);
       if (mi >= plist.size()) {
-        plist.push_back(std::make_unique<PartialState>());
-        NLQ_RETURN_IF_ERROR(InitPartial(*d.specs, &memory_,
-                                        plist.back().get()));
+        NLQ_ASSIGN_OR_RETURN(GroupState fresh,
+                             InitGroupState(*d.specs, Row{}, &memory_));
+        plist.push_back(std::move(fresh));
       }
-      NLQ_RETURN_IF_ERROR(AccumulateRange(part, d, plist[mi].get(), wm, mend,
-                                          ctx, /*use_failpoint=*/true,
-                                          &scratch, &compact, &keep));
+      NLQ_RETURN_IF_ERROR(AccumulateRange(part, d, &plist[mi], wm, mend, ctx,
+                                          /*use_failpoint=*/true, &acc,
+                                          &compact, &keep));
       wm = mend;
     }
     e->watermarks[p] = cur;
@@ -213,51 +218,54 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
   return pool->ParallelFor(parts, refresh_one, ctx);
 }
 
-StatusOr<Row> ViewRegistry::MergeAndFinalize(const Entry& e,
-                                             const ViewDescriptor& d) {
+StatusOr<GroupState> ViewRegistry::MergeClone(const Entry& e,
+                                              const ViewDescriptor& d) {
   // Fold a CLONE of the stored partials (never the stored state
   // itself: merging mutates the destination, and the registered
   // partials must survive for the next refresh). Clone-then-merge
   // replays the rescan's fold arithmetic exactly: the accumulator
-  // starts as a byte copy of the first grid morsel's state, then the
-  // remaining morsels fold in morsel-index order.
-  PartialState acc;
+  // starts as a copy of the first grid morsel's state — builtins by
+  // assignment, UDF states by a Merge into the fresh state, which
+  // copies a relocatable state — then the remaining morsels fold in
+  // morsel-index order. An empty table's rescan grid has one empty
+  // morsel whose partial is the fresh state itself.
+  const std::vector<AggregateSpec>& specs = *d.specs;
+  NLQ_ASSIGN_OR_RETURN(GroupState acc,
+                       InitGroupState(specs, Row{}, /*memory=*/nullptr));
   bool have_first = false;
   for (const auto& plist : e.partials) {
-    for (const auto& pm : plist) {
-      if (!have_first) {
-        NLQ_RETURN_IF_ERROR(
-            ClonePartialInto(*d.specs, /*memory=*/nullptr, *pm, &acc));
-        have_first = true;
+    for (const GroupState& pm : plist) {
+      if (have_first) {
+        NLQ_RETURN_IF_ERROR(MergeGroup(specs, &acc, &pm));
         continue;
       }
-      NLQ_RETURN_IF_ERROR(MergePartial(*d.specs, &acc, pm.get()));
+      have_first = true;
+      acc.builtin = pm.builtin;
+      for (size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].kind != AggregateSpec::Kind::kUdf) continue;
+        NLQ_RETURN_IF_ERROR(
+            specs[i].udaf->Merge(acc.udf_states[i], pm.udf_states[i]));
+      }
     }
   }
-  if (!have_first) {
-    // Empty table: the rescan grid has one empty morsel whose partial
-    // is a freshly Init-ed state; replicate it.
-    NLQ_RETURN_IF_ERROR(InitPartial(*d.specs, /*memory=*/nullptr, &acc));
-  }
-  return FinalizePartial(*d.specs, acc);
+  return acc;
 }
 
-StatusOr<Row> ViewRegistry::RescanWithoutView(const ViewDescriptor& d,
-                                              ThreadPool* pool,
-                                              const QueryContext* ctx) {
+StatusOr<GroupState> ViewRegistry::RescanWithoutView(const ViewDescriptor& d,
+                                                     ThreadPool* pool,
+                                                     const QueryContext* ctx) {
   const std::vector<Morsel> grid = BuildMorselGrid(*d.table, d.morsel_rows);
   const size_t n = grid.size();
-  std::vector<PartialState> partials(n);
+  std::vector<GroupState> partials(n);
   MemoryTracker* memory = ctx != nullptr ? ctx->memory() : nullptr;
   auto drain_one = [&](size_t m) -> Status {
-    NLQ_RETURN_IF_ERROR(InitPartial(*d.specs, memory, &partials[m]));
-    SpanScratch scratch;
+    NLQ_ASSIGN_OR_RETURN(partials[m], InitGroupState(*d.specs, Row{}, memory));
+    SpanAccumulator acc(*d.specs, *d.args, *d.slot_to_col, ctx);
     std::vector<ScratchColumn> compact(d.slots.size());
     std::vector<uint8_t> keep;
     return AccumulateRange(d.table->partition(grid[m].partition), d,
                            &partials[m], grid[m].begin, grid[m].end, ctx,
-                           /*use_failpoint=*/false, &scratch, &compact,
-                           &keep);
+                           /*use_failpoint=*/false, &acc, &compact, &keep);
   };
   if (n == 1 || pool == nullptr) {
     for (size_t m = 0; m < n; ++m) NLQ_RETURN_IF_ERROR(drain_one(m));
@@ -265,13 +273,14 @@ StatusOr<Row> ViewRegistry::RescanWithoutView(const ViewDescriptor& d,
     NLQ_RETURN_IF_ERROR(pool->ParallelFor(n, drain_one, ctx));
   }
   for (size_t m = 1; m < n; ++m) {
-    NLQ_RETURN_IF_ERROR(MergePartial(*d.specs, &partials[0], &partials[m]));
+    NLQ_RETURN_IF_ERROR(MergeGroup(*d.specs, &partials[0], &partials[m]));
   }
-  return FinalizePartial(*d.specs, partials[0]);
+  return std::move(partials[0]);
 }
 
-StatusOr<Row> ViewRegistry::Serve(const ViewDescriptor& d, ThreadPool* pool,
-                                  const QueryContext* ctx) {
+StatusOr<GroupState> ViewRegistry::Serve(const ViewDescriptor& d,
+                                         ThreadPool* pool,
+                                         const QueryContext* ctx) {
   std::lock_guard<std::mutex> lock(mu_);
   QueryStats* stats = ctx != nullptr ? ctx->stats() : nullptr;
   const std::string key = KeyOf(d);
@@ -300,19 +309,19 @@ StatusOr<Row> ViewRegistry::Serve(const ViewDescriptor& d, ThreadPool* pool,
   uint64_t delta_rows = 0;
   Status status =
       AccumulateDeltas(it->second.get(), d, pool, ctx, &delta_rows);
-  StatusOr<Row> row = status.ok() ? MergeAndFinalize(*it->second, d)
-                                  : StatusOr<Row>(status);
-  if (!row.ok()) {
+  StatusOr<GroupState> merged = status.ok() ? MergeClone(*it->second, d)
+                                            : StatusOr<GroupState>(status);
+  if (!merged.ok()) {
     // A half-applied delta leaves the stored partials unusable either
     // way: drop the entry. Cancellation/deadline unwind the statement;
     // anything else (injected view_maintenance fault, exhausted view
     // memory, decode error) degrades to a registry-free full rescan —
     // a slower statement, never a wrong one.
     views_.erase(it);
-    const StatusCode code = row.status().code();
+    const StatusCode code = merged.status().code();
     if (code == StatusCode::kCancelled ||
         code == StatusCode::kDeadlineExceeded) {
-      return row.status();
+      return merged.status();
     }
     if (stats != nullptr) {
       stats->view_misses.fetch_add(1, std::memory_order_relaxed);
@@ -332,7 +341,7 @@ StatusOr<Row> ViewRegistry::Serve(const ViewDescriptor& d, ThreadPool* pool,
     }
   }
   if (seeded) EvictIfNeeded();
-  return row;
+  return merged;
 }
 
 void ViewRegistry::InvalidateTable(const std::string& table_name) {

@@ -11,7 +11,7 @@
 #include "common/query_context.h"
 #include "common/status.h"
 #include "common/threadpool.h"
-#include "engine/exec/agg_partials.h"
+#include "engine/exec/aggregate_state.h"
 #include "engine/exec/columnar_scan_node.h"
 #include "storage/partitioned_table.h"
 
@@ -19,14 +19,19 @@ namespace nlq::engine::exec {
 
 /// Identity of one maintainable aggregate query shape: the (table,
 /// column-set, WHERE-conjunct, aggregate-list) key a materialized
-/// sufficient-statistic view is registered under. The spec vector is
-/// referenced, not owned — it lives in the plan node driving the call.
+/// sufficient-statistic view is registered under. The aggregate
+/// vectors are referenced, not owned — they live in the plan node
+/// driving the call. Every argument is a leading constant or a bare
+/// column (`VectorAggArg::col` indexes `slots`), every aggregate UDF
+/// call is `on_spans`.
 struct ViewDescriptor {
   const storage::PartitionedTable* table = nullptr;
   std::string table_name;
   std::vector<size_t> slots;            // projected schema slots
   std::vector<ColumnFilter> filters;    // pushed-down conjuncts
-  const std::vector<ColumnarAggSpec>* specs = nullptr;
+  const std::vector<AggregateSpec>* specs = nullptr;
+  const std::vector<VectorAggSpec>* args = nullptr;  // parallel to specs
+  const std::vector<int>* slot_to_col = nullptr;
   uint64_t morsel_rows = 0;
   size_t batch_capacity = 1024;
 };
@@ -40,8 +45,10 @@ struct ViewProbe {
 };
 
 /// Registry of materialized sufficient-statistic views: per-morsel
-/// aggregate partials (agg_partials.h PartialState) kept across
-/// statements, keyed by query shape. A Serve() accumulates only the
+/// zero-key group states (aggregate_state.h GroupState) kept across
+/// statements, keyed by query shape. They accumulate, merge and
+/// finalize through the same aggregate_state code as
+/// VectorHashAggregateNode's zero-key group. A Serve() accumulates only the
 /// rows appended past each partition's watermark — O(delta) — then
 /// merges a *clone* of the stored partials in morsel-index order, so
 /// the result is bit-identical to a full rescan by the engine's
@@ -76,15 +83,15 @@ class ViewRegistry {
   /// to reseed anyway).
   ViewProbe Probe(const ViewDescriptor& d);
 
-  /// Serves the descriptor's aggregate values: seeds the view (full
+  /// Serves the descriptor's merged zero-key group: seeds the view (full
   /// accumulate, one partial per grid morsel) when no entry exists,
   /// delta-accumulates rows past each partition watermark otherwise,
-  /// then clones + merges the stored partials in morsel-index order
-  /// and finalizes. On an accumulate failure other than cancellation /
+  /// then clones + merges the stored partials in morsel-index order.
+  /// On an accumulate failure other than cancellation /
   /// deadline the entry is dropped and the statement degrades to a
   /// registry-free full rescan — never a wrong result.
-  StatusOr<storage::Row> Serve(const ViewDescriptor& d, ThreadPool* pool,
-                               const QueryContext* ctx);
+  StatusOr<GroupState> Serve(const ViewDescriptor& d, ThreadPool* pool,
+                             const QueryContext* ctx);
 
   /// Drops every view registered against `table_name` (DROP TABLE and
   /// SpillTable hook: a recreated table must never alias a stale
@@ -104,7 +111,7 @@ class ViewRegistry {
     std::vector<uint64_t> watermarks;  // rows accumulated per partition
     /// partials[p][m]: state of morsel m of partition p, in the same
     /// (partition, morsel-index) order BuildMorselGrid emits.
-    std::vector<std::vector<std::unique_ptr<PartialState>>> partials;
+    std::vector<std::vector<GroupState>> partials;
     uint64_t last_served = 0;  // LRU tick for eviction
   };
 
@@ -123,16 +130,15 @@ class ViewRegistry {
                           const QueryContext* ctx, uint64_t* delta_rows);
 
   /// Registry-free full rescan: fresh per-morsel partials accumulated
-  /// from scratch (no failpoint), merged and finalized — the fallback
+  /// from scratch (no failpoint) and merged — the fallback
   /// that keeps results correct when view maintenance fails.
-  StatusOr<storage::Row> RescanWithoutView(const ViewDescriptor& d,
+  StatusOr<GroupState> RescanWithoutView(const ViewDescriptor& d,
                                            ThreadPool* pool,
                                            const QueryContext* ctx);
 
   /// Clones `e`'s stored partials and folds them in morsel-index
-  /// order, then finalizes.
-  StatusOr<storage::Row> MergeAndFinalize(const Entry& e,
-                                          const ViewDescriptor& d);
+  /// order.
+  StatusOr<GroupState> MergeClone(const Entry& e, const ViewDescriptor& d);
 
   void EvictIfNeeded();
 

@@ -20,7 +20,7 @@ class LiteralNode : public BoundExpr {
  public:
   explicit LiteralNode(Datum value) : value_(std::move(value)) {}
   Datum Eval(const EvalContext&) const override { return value_; }
-  void EvalBatch(const storage::Row*, size_t count, Status*,
+  void EvalBatch(const storage::Row*, size_t count, const EvalContext&,
                  Datum* out) const override {
     for (size_t i = 0; i < count; ++i) out[i] = value_;
   }
@@ -43,7 +43,7 @@ class InputRefNode : public BoundExpr {
   Datum Eval(const EvalContext& ctx) const override {
     return (*ctx.input)[slot_];
   }
-  void EvalBatch(const storage::Row* rows, size_t count, Status*,
+  void EvalBatch(const storage::Row* rows, size_t count, const EvalContext&,
                  Datum* out) const override {
     for (size_t i = 0; i < count; ++i) out[i] = rows[i][slot_];
   }
@@ -103,9 +103,9 @@ class UnaryNode : public BoundExpr {
     return Apply(operand_->Eval(ctx));
   }
 
-  void EvalBatch(const storage::Row* rows, size_t count, Status* error,
-                 Datum* out) const override {
-    operand_->EvalBatch(rows, count, error, out);
+  void EvalBatch(const storage::Row* rows, size_t count,
+                 const EvalContext& ctx, Datum* out) const override {
+    operand_->EvalBatch(rows, count, ctx, out);
     for (size_t i = 0; i < count; ++i) out[i] = Apply(std::move(out[i]));
   }
 
@@ -164,19 +164,19 @@ class BinaryNode : public BoundExpr {
     return Combine(left_->Eval(ctx), right_->Eval(ctx));
   }
 
-  void EvalBatch(const storage::Row* rows, size_t count, Status* error,
-                 Datum* out) const override {
+  void EvalBatch(const storage::Row* rows, size_t count,
+                 const EvalContext& ctx, Datum* out) const override {
     // AND/OR keep the row-at-a-time path: their short-circuit order
     // decides which operand errors surface.
     if (op_ == BinaryOp::kAnd || op_ == BinaryOp::kOr) {
-      BoundExpr::EvalBatch(rows, count, error, out);
+      BoundExpr::EvalBatch(rows, count, ctx, out);
       return;
     }
     // Children evaluate whole columns (one virtual dispatch per batch
     // instead of two per row); the operator fold runs as a tight loop.
     std::vector<Datum> lhs(count);
-    left_->EvalBatch(rows, count, error, lhs.data());
-    right_->EvalBatch(rows, count, error, out);
+    left_->EvalBatch(rows, count, ctx, lhs.data());
+    right_->EvalBatch(rows, count, ctx, out);
     for (size_t i = 0; i < count; ++i) {
       out[i] = Combine(lhs[i], out[i]);
     }
@@ -293,9 +293,9 @@ class IsNullNode : public BoundExpr {
     const bool is_null = operand_->Eval(ctx).is_null();
     return BoolDatum(negated_ ? !is_null : is_null);
   }
-  void EvalBatch(const storage::Row* rows, size_t count, Status* error,
-                 Datum* out) const override {
-    operand_->EvalBatch(rows, count, error, out);
+  void EvalBatch(const storage::Row* rows, size_t count,
+                 const EvalContext& ctx, Datum* out) const override {
+    operand_->EvalBatch(rows, count, ctx, out);
     for (size_t i = 0; i < count; ++i) {
       const bool is_null = out[i].is_null();
       out[i] = BoolDatum(negated_ ? !is_null : is_null);
@@ -515,7 +515,11 @@ class ScalarUdfNode : public BoundExpr {
   Datum Eval(const EvalContext& ctx) const override {
     std::vector<Datum> values(args_.size());
     for (size_t i = 0; i < args_.size(); ++i) values[i] = args_[i]->Eval(ctx);
-    StatusOr<Datum> result = udf_->Invoke(values);
+    // A UDF call may be slow: a cancel or deadline takes effect before
+    // the next one, not at the end of the batch.
+    Status alive = ctx.query != nullptr ? ctx.query->CheckAlive() : Status();
+    StatusOr<Datum> result = alive.ok() ? udf_->Invoke(values)
+                                        : StatusOr<Datum>(std::move(alive));
     if (!result.ok()) {
       if (ctx.error != nullptr && ctx.error->ok()) *ctx.error = result.status();
       return Datum::Null(udf_->return_type());
@@ -734,12 +738,11 @@ StatusOr<BoundExprPtr> Bind(const Expr& expr, const BindingScope& scope,
 }  // namespace
 
 void BoundExpr::EvalBatch(const storage::Row* rows, size_t count,
-                          Status* error, Datum* out) const {
-  EvalContext ctx;
-  ctx.error = error;
+                          const EvalContext& ctx, Datum* out) const {
+  EvalContext row_ctx = ctx;
   for (size_t i = 0; i < count; ++i) {
-    ctx.input = &rows[i];
-    out[i] = Eval(ctx);
+    row_ctx.input = &rows[i];
+    out[i] = Eval(row_ctx);
   }
 }
 

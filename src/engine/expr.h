@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/query_context.h"
 #include "common/status.h"
 #include "engine/ast.h"
 #include "storage/schema.h"
@@ -29,6 +30,9 @@ struct EvalContext {
   const storage::Row* keys = nullptr;
   const storage::Row* aggs = nullptr;
   Status* error = nullptr;
+  /// When set, polled before every scalar UDF call: a cancel or
+  /// deadline surfaces through `error`.
+  const QueryContext* query = nullptr;
 };
 
 /// A bound, directly evaluable expression tree. Evaluation is
@@ -46,10 +50,11 @@ class BoundExpr {
 
   /// Batch evaluation entry point for the morsel executor: evaluates
   /// this expression against `rows[0..count)` writing one Datum per
-  /// row into `out` (which must hold at least `count` slots). The
-  /// first hard error is reported through `error`; evaluation of the
-  /// remaining rows may still run (results past an error are
-  /// discarded by the caller).
+  /// row into `out` (which must hold at least `count` slots); `ctx`
+  /// supplies everything but the input row. The first hard error is
+  /// reported through `ctx.error`; evaluation of the remaining rows
+  /// may still run (results past an error are discarded by the
+  /// caller).
   ///
   /// The base implementation loops `Eval` row-by-row; hot nodes
   /// (column refs, literals, arithmetic/comparison) override it to
@@ -57,7 +62,7 @@ class BoundExpr {
   /// per-row path — the batched analogue of the paper's "compiled UDF
   /// vs interpreted SQL" gap.
   virtual void EvalBatch(const storage::Row* rows, size_t count,
-                         Status* error, storage::Datum* out) const;
+                         const EvalContext& ctx, storage::Datum* out) const;
 
   /// Static result type of this expression.
   virtual storage::DataType result_type() const = 0;

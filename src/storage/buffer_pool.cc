@@ -109,6 +109,18 @@ StatusOr<PageHandle> BufferPool::Pin(uint32_t file_id, uint64_t page_id) {
       return Status::InvalidArgument("buffer pool: unknown file id " +
                                      std::to_string(file_id));
     }
+    // The scan caught up with a queued readahead of this page before the
+    // readahead worker got to it: run that readahead here, as one
+    // vectored read, and pin the page from it. (Left in the queue it
+    // would be loaded after the scan had read its pages one by one, only
+    // to evict pages still to come.)
+    ReadaheadRequest req;
+    if (TakeQueuedReadahead(file_id, page_id, &req)) {
+      lock.unlock();
+      (void)LoadRun(req.file_id, req.first, req.count, /*readahead=*/true);
+      lock.lock();
+      continue;
+    }
     const DiskManager* disk = fit->second;
     const size_t frame = ClaimFrameLocked(key);
     if (frame == kInvalidFrame) {
@@ -156,6 +168,21 @@ void BufferPool::ScheduleReadahead(uint32_t file_id, uint64_t first,
   ra_cv_.notify_one();
 }
 
+bool BufferPool::TakeQueuedReadahead(uint32_t file_id, uint64_t page_id,
+                                     ReadaheadRequest* out) {
+  std::lock_guard<std::mutex> lock(ra_mu_);
+  for (auto it = ra_queue_.begin(); it != ra_queue_.end(); ++it) {
+    if (it->file_id == file_id && it->first <= page_id &&
+        page_id < it->first + it->count) {
+      *out = *it;
+      ra_queue_.erase(it);
+      if (ra_queue_.empty() && !ra_busy_) ra_idle_cv_.notify_all();
+      return true;
+    }
+  }
+  return false;
+}
+
 void BufferPool::DrainReadaheadForTest() {
   std::unique_lock<std::mutex> lock(ra_mu_);
   ra_idle_cv_.wait(lock, [this] { return ra_queue_.empty() && !ra_busy_; });
@@ -176,20 +203,29 @@ size_t BufferPool::EvictLocked() {
   const size_t n = allocated_frames_;
   if (n == 0) return kInvalidFrame;
   // Two sweeps: the first clears reference bits, the second takes the
-  // first unreferenced unpinned frame. If nothing is evictable after
-  // that, every frame is pinned or mid-load.
+  // first unreferenced unpinned frame. A readahead frame no scan has
+  // pinned yet is passed over while any other frame can go: the scan
+  // that queued it is about to pin it, and evicting it first would turn
+  // every readahead into a wasted read plus a miss. It is taken only
+  // when nothing else is evictable (the first one the hand passed). If
+  // there is none either, every frame is pinned or mid-load.
+  size_t unused_readahead = kInvalidFrame;
   for (size_t step = 0; step < 2 * n; ++step) {
     const size_t idx = clock_hand_;
     clock_hand_ = (clock_hand_ + 1) % n;
     Frame& f = frames_[idx];
     if (f.pins > 0 || f.loading) continue;
+    if (f.from_readahead) {
+      if (unused_readahead == kInvalidFrame) unused_readahead = idx;
+      continue;
+    }
     if (f.referenced) {
       f.referenced = false;
       continue;
     }
     return idx;
   }
-  return kInvalidFrame;
+  return unused_readahead;
 }
 
 size_t BufferPool::ClaimFrameLocked(uint64_t key) {

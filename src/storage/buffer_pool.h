@@ -178,6 +178,12 @@ class BufferPool {
     uint64_t first;
     size_t count;
   };
+  /// Removes the first queued (not yet started) readahead request
+  /// covering page (file_id, page_id) into `out` (locks ra_mu_; callers
+  /// may hold mu_, never the reverse). False when there is none.
+  bool TakeQueuedReadahead(uint32_t file_id, uint64_t page_id,
+                           ReadaheadRequest* out);
+
   std::mutex ra_mu_;
   std::condition_variable ra_cv_;
   std::condition_variable ra_idle_cv_;

@@ -137,8 +137,8 @@ class AggregateUdf {
   virtual StatusOr<storage::Datum> Finalize(const void* state) const = 0;
 
   /// True if this UDF implements AccumulateSpans, letting the engine's
-  /// columnar fast path feed it typed column spans instead of one
-  /// boxed row at a time.
+  /// columnar pipeline feed a global aggregate's bare-column arguments
+  /// as typed column spans instead of one boxed row at a time.
   virtual bool SupportsColumnarSpans() const { return false; }
 
   /// Columnar ROW phase: folds `rows` dense rows into `state` in row

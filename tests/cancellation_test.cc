@@ -3,7 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <thread>
+#include <vector>
 
 #include "engine/database.h"
 #include "gen/datagen.h"
@@ -227,16 +229,38 @@ TEST_F(CancellationTest, PreFlippedTokenCancelsAtFirstPoll) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker count as a test axis: a cancel or deadline must stop the slow
-// statement before it completes however many workers drain it — with
-// 4+ workers each 1,000-row partition is one batch, so only polling
-// inside the batch (per UDF row) can stop it in time.
+// Worker count and execution path as test axes: a cancel or deadline
+// must stop the slow statement before it completes however many workers
+// drain it, compiled or interpreted (`force_interpreted`) — with 4+
+// workers each 1,000-row partition is one batch, so only polling inside
+// the batch (per UDF row) can stop it in time.
 // ---------------------------------------------------------------------------
 
-class CancellationSweepTest : public ::testing::TestWithParam<size_t> {
+struct SweepCase {
+  size_t threads;
+  bool interpreted;
+};
+
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.threads;
+  if (c.interpreted) *os << ", interpreted";
+}
+
+std::vector<SweepCase> SweepCases() {
+  std::vector<SweepCase> cases;
+  for (const bool interpreted : {false, true}) {
+    for (const size_t threads : {1, 2, 4, 8}) {
+      cases.push_back({threads, interpreted});
+    }
+  }
+  return cases;
+}
+
+class CancellationSweepTest : public ::testing::TestWithParam<SweepCase> {
  protected:
   void SetUp() override {
-    db_ = nlq::testing::MakeTestDatabase(/*num_partitions=*/4, GetParam());
+    db_ = nlq::testing::MakeTestDatabase(/*num_partitions=*/4,
+                                         GetParam().threads);
     NLQ_ASSERT_OK(db_->udfs().RegisterScalar(std::make_unique<SlowPassUdf>()));
     gen::MixtureOptions options;
     options.n = kRows;
@@ -246,11 +270,18 @@ class CancellationSweepTest : public ::testing::TestWithParam<size_t> {
     g_slow_rows = 0;
   }
 
+  /// Statement options on this case's execution path.
+  QueryOptions Options() const {
+    QueryOptions q;
+    q.force_interpreted = GetParam().interpreted;
+    return q;
+  }
+
   std::unique_ptr<Database> db_;
 };
 
 TEST_P(CancellationSweepTest, DeadlineExceededWithoutCompleting) {
-  QueryOptions q;
+  QueryOptions q = Options();
   q.timeout_ms = 20;
   auto result = db_->Execute(kSlowQuery, q);
   ASSERT_FALSE(result.ok());
@@ -274,7 +305,7 @@ TEST_P(CancellationSweepTest, CancelFromAnotherThread) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     cancel_status = db_->Cancel(db_->last_query_id());
   });
-  auto result = db_->Execute(kSlowQuery);
+  auto result = db_->Execute(kSlowQuery, Options());
   canceller.join();
 
   ASSERT_FALSE(result.ok());
@@ -288,8 +319,8 @@ TEST_P(CancellationSweepTest, CancelFromAnotherThread) {
 }
 
 TEST_P(CancellationSweepTest, DeadlineStopsSlowUdfInWhere) {
-  // The same bound when the slow UDF sits in a compiled filter.
-  QueryOptions q;
+  // The same bound when the slow UDF sits in the filter.
+  QueryOptions q = Options();
   q.timeout_ms = 20;
   auto result = db_->Execute("SELECT X1 FROM X WHERE slow_pass(X2) > -1e9", q);
   ASSERT_FALSE(result.ok());
@@ -297,12 +328,12 @@ TEST_P(CancellationSweepTest, DeadlineStopsSlowUdfInWhere) {
   EXPECT_LT(g_slow_rows.load(), kRows) << "query ran to completion anyway";
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, CancellationSweepTest,
-                         ::testing::Values(size_t{1}, size_t{2}, size_t{4},
-                                           size_t{8}),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "t" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Threads, CancellationSweepTest, ::testing::ValuesIn(SweepCases()),
+    [](const ::testing::TestParamInfo<SweepCase>& info) {
+      return "t" + std::to_string(info.param.threads) +
+             (info.param.interpreted ? "_interpreted" : "");
+    });
 
 }  // namespace
 }  // namespace nlq::engine

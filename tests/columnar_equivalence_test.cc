@@ -1,6 +1,7 @@
-// Columnar-vs-row equivalence: the columnar fast path (ColumnarScan →
-// ColumnarAggregate with the fused N,L,Q span kernel) must produce
-// results *byte-identical* to the row path it replaces — the row path
+// Columnar-vs-row equivalence: a global aggregate on the columnar
+// pipeline (ColumnarScan → VectorHashAggregate's zero-key group, with
+// n,L,Q calls on the fused span kernel) must produce results
+// *byte-identical* to the row path it replaces — the row path
 // stays in the tree as the correctness oracle. The same query is
 // planned both ways via QueryOptions::force_interpreted (which turns
 // off expression compilation and every columnar plan shape for that
@@ -26,7 +27,7 @@ using storage::DataType;
 using storage::Datum;
 
 /// Per-statement override that plans the pure interpreted row path —
-/// no fused fast path, no vector pipeline, no compiled programs.
+/// no vector pipeline, no compiled programs.
 QueryOptions Interpreted() {
   QueryOptions options;
   options.force_interpreted = true;
@@ -96,6 +97,23 @@ void FillTable(Database* db, size_t n, size_t d) {
   }
 }
 
+/// Asserts the columnar plan of a global aggregate: the zero-key group
+/// of VectorHashAggregate straight over the ColumnarScan (every WHERE
+/// conjunct pushed into the scan), n,L,Q calls on column spans.
+void ExpectZeroKeyOverScan(const std::string& sql, const std::string& plan) {
+  EXPECT_NE(plan.find("VectorHashAggregate (0 group key(s)"),
+            std::string::npos)
+      << sql << "\n" << plan;
+  EXPECT_NE(plan.find("ColumnarScan"), std::string::npos)
+      << sql << "\n" << plan;
+  EXPECT_EQ(plan.find("VectorFilter"), std::string::npos)
+      << sql << "\n" << plan;
+  if (sql.find("nlq_list") != std::string::npos) {
+    EXPECT_NE(plan.find("on column spans"), std::string::npos)
+        << sql << "\n" << plan;
+  }
+}
+
 /// Runs `sql` on the columnar path and again with the row-path pin,
 /// asserting bit-identical results; returns the shared signature.
 std::string AssertPathsAgree(Database* db, const std::string& sql) {
@@ -109,8 +127,7 @@ std::string AssertPathsAgree(Database* db, const std::string& sql) {
   auto row_plan = db->Explain(sql, Interpreted());
   EXPECT_TRUE(col_plan.ok() && row_plan.ok());
   if (col_plan.ok() && row_plan.ok()) {
-    EXPECT_NE(col_plan->find("ColumnarAggregate"), std::string::npos)
-        << sql << "\n" << *col_plan;
+    ExpectZeroKeyOverScan(sql, *col_plan);
     EXPECT_EQ(row_plan->find("Columnar"), std::string::npos)
         << sql << "\n" << *row_plan;
     EXPECT_EQ(row_plan->find("compiled"), std::string::npos)
@@ -159,6 +176,12 @@ TEST(ColumnarEquivalenceTest, BuiltinAggregatesMatchIncludingNullsAndInts) {
       db.get(),
       "SELECT count(*), count(a), sum(a), avg(a), min(a), max(a), "
       "count(b), sum(b), min(b), max(b), avg(b) FROM T");
+  // An n,L,Q call on column spans (BIGINT b widened, NULL rows
+  // compacted away) next to expression-argument builtins and COUNT(*),
+  // all in the one zero-key group.
+  AssertPathsAgree(db.get(),
+                   "SELECT nlq_list('triang', a, b), sum(a * b), count(*), "
+                   "max(b - i) FROM T WHERE i >= 2");
 }
 
 TEST(ColumnarEquivalenceTest, NullRowsAreSkippedByNlqUdfs) {
@@ -239,10 +262,7 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
         "SELECT nlq_list('diag', x1) FROM X ORDER BY 1 LIMIT 3",
         "SELECT sum(x1) FROM X, M"}) {  // one-row M binds as constants
     NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
-    EXPECT_NE(plan.find("ColumnarAggregate"), std::string::npos)
-        << sql << "\n" << plan;
-    EXPECT_NE(plan.find("ColumnarScan"), std::string::npos)
-        << sql << "\n" << plan;
+    ExpectZeroKeyOverScan(sql, plan);
   }
   // The pushed-down comparison is shown on the scan node.
   NLQ_ASSERT_OK_AND_ASSIGN(
@@ -251,16 +271,19 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
   EXPECT_NE(filtered.find("filter: (x2 <= 1.5)"), std::string::npos)
       << filtered;
 
-  // Shapes the fused kernel rejects get a second chance on the general
-  // compiled pipeline (VectorHashAggregate over ColumnarScan).
+  // Other compiled shapes run on the same operator; aggregate UDF calls
+  // that are grouped or take an expression argument accumulate per
+  // row instead of on column spans.
   for (const char* sql :
        {"SELECT sum(x1) FROM X GROUP BY i",         // group keys
         "SELECT sum(x1 + 1) FROM X",                // expression arg
         "SELECT sum(x1) FROM X WHERE x1 + x2 > 0",  // complex where
         "SELECT count(*) FROM X GROUP BY i HAVING count(*) > 1",  // having
-        "SELECT sum(x1) FROM X, M2"}) {  // cross join (spans)
+        "SELECT sum(x1) FROM X, M2",  // cross join (spans)
+        "SELECT nlq_list('diag', x1) FROM X GROUP BY i",
+        "SELECT nlq_list('diag', x1 + 1) FROM X"}) {
     NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
-    EXPECT_EQ(plan.find("ColumnarAggregate"), std::string::npos)
+    EXPECT_EQ(plan.find("on column spans"), std::string::npos)
         << sql << "\n" << plan;
     EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos)
         << sql << "\n" << plan;

@@ -258,7 +258,8 @@ TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
                            db->catalog().GetTable("T"));
   table->partition(0).Clear();
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
-  EXPECT_NE(plan.find("ColumnarAggregate"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("ColumnarScan"), std::string::npos) << plan;
   EXPECT_NE(plan.find("view=stale"), std::string::npos) << plan;
   EXPECT_EQ(plan.find("MaintainedViewScan"), std::string::npos) << plan;
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
