@@ -137,9 +137,6 @@ Status Database::SpillTable(std::string_view name) {
     buffer_pool_ =
         std::make_unique<storage::BufferPool>(options_.buffer_pool_bytes);
   }
-  const size_t chunk_rows = options_.spill_chunk_rows > 0
-                                ? options_.spill_chunk_rows
-                                : storage::SpillSegment::kDefaultChunkRows;
   // Scratch name: directory + table + this database's address keeps
   // concurrent databases apart; the file is unlinked on open anyway.
   const std::string path =
@@ -150,18 +147,23 @@ Status Database::SpillTable(std::string_view name) {
   if (view_registry_ != nullptr) {
     view_registry_->InvalidateTable(std::string(name));
   }
-  return table->SpillToDisk(path, buffer_pool_.get(), chunk_rows);
+  return table->SpillToDisk(path, buffer_pool_.get(),
+                            storage::SpillSegment::kDefaultChunkRows);
+}
+
+exec::Planner Database::MakePlanner(const QueryContext* ctx,
+                                    bool force_interpreted) {
+  return exec::Planner(&catalog_, &registry_, pool_.get(),
+                       options_.enable_column_cache, options_.morsel_rows,
+                       ctx, /*enable_expr_compile=*/!force_interpreted,
+                       bytecode_cache_.get(), view_registry_.get());
 }
 
 StatusOr<ResultSet> Database::ExecuteSelect(const SelectStatement& select,
                                             const QueryContext* ctx,
                                             bool force_interpreted) {
-  exec::Planner planner(&catalog_, &registry_, pool_.get(),
-                        storage::RowBatch::kDefaultCapacity,
-                        options_.enable_column_cache, options_.morsel_rows,
-                        ctx, options_.enable_expr_compile && !force_interpreted,
-                        bytecode_cache_.get(), view_registry_.get());
-  NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan, planner.Plan(select));
+  NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan,
+                       MakePlanner(ctx, force_interpreted).Plan(select));
   if (ctx != nullptr && ctx->stats() != nullptr) {
     exec::AttachQueryStats(plan.root.get(), ctx->stats());
   }
@@ -362,14 +364,9 @@ StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
     case StatementKind::kExplain: {
       if (!stmt.explain_analyze) {
         // Plain EXPLAIN: plan only, never execute.
-        exec::Planner planner(
-            &catalog_, &registry_, pool_.get(),
-            storage::RowBatch::kDefaultCapacity,
-            options_.enable_column_cache, options_.morsel_rows, ctx,
-            options_.enable_expr_compile && !force_interpreted,
-            bytecode_cache_.get(), view_registry_.get());
-        NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan,
-                             planner.Plan(*stmt.select));
+        NLQ_ASSIGN_OR_RETURN(
+            exec::PhysicalPlan plan,
+            MakePlanner(ctx, force_interpreted).Plan(*stmt.select));
         return PlanTextToResultSet(exec::ExplainPlan(*plan.root));
       }
       QueryStats* stats = ctx != nullptr ? ctx->stats() : nullptr;
@@ -401,12 +398,10 @@ StatusOr<std::string> Database::Explain(std::string_view sql,
   }
   // Planning reads the catalog; exclude concurrent DDL.
   std::shared_lock<std::shared_mutex> gate(statement_mu_);
-  exec::Planner planner(
-      &catalog_, &registry_, pool_.get(), storage::RowBatch::kDefaultCapacity,
-      options_.enable_column_cache, options_.morsel_rows, /*ctx=*/nullptr,
-      options_.enable_expr_compile && !query_options.force_interpreted,
-      bytecode_cache_.get(), view_registry_.get());
-  NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan, planner.Plan(*stmt.select));
+  NLQ_ASSIGN_OR_RETURN(
+      exec::PhysicalPlan plan,
+      MakePlanner(/*ctx=*/nullptr, query_options.force_interpreted)
+          .Plan(*stmt.select));
   return exec::ExplainPlan(*plan.root);
 }
 

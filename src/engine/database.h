@@ -23,6 +23,7 @@ namespace nlq::engine {
 
 namespace exec {
 class BytecodeCache;
+class Planner;
 class ViewRegistry;
 }  // namespace exec
 
@@ -74,12 +75,6 @@ struct DatabaseOptions {
   /// and forced on for EXPLAIN ANALYZE regardless of this flag.
   bool collect_query_stats = true;
 
-  /// Compile bound expressions to bytecode and plan the columnar
-  /// pipeline where eligible (see DESIGN.md §11). Off plans every
-  /// statement on the pure interpreted row path — the differential
-  /// oracle. Results are bit-identical either way.
-  bool enable_expr_compile = true;
-
   /// Frame budget of the buffer pool backing spilled tables (see
   /// storage/buffer_pool.h); the pool is created lazily on the first
   /// SpillTable call, so databases that never spill pay nothing. The
@@ -92,10 +87,6 @@ struct DatabaseOptions {
   /// they are opened (the fd keeps the data alive), so nothing is left
   /// behind however the process exits.
   std::string spill_directory = "/tmp";
-
-  /// Rows per spill chunk — the decode granularity of spilled scans.
-  /// 0 = SpillSegment::kDefaultChunkRows.
-  size_t spill_chunk_rows = 0;
 
   /// Maintain materialized sufficient-statistic views: eligible global
   /// n,L,Q aggregates keep per-morsel partials registered across
@@ -128,10 +119,11 @@ struct QueryOptions {
   /// > 0 = budget in bytes.
   int64_t memory_limit = -1;
 
-  /// Force this statement onto the interpreted row path, as if
-  /// DatabaseOptions::enable_expr_compile were off. Used by the
-  /// differential tests and the ablation bench to compare the compiled
-  /// and interpreted paths on one database instance.
+  /// Plan this statement on the interpreted row path: no bytecode, no
+  /// columnar pipeline, no maintained views, every cross join kept
+  /// (see DESIGN.md §11). The one oracle switch: the differential tests
+  /// and the ablation bench compare the compiled and interpreted paths
+  /// on one database instance. Results are bit-identical either way.
   bool force_interpreted = false;
 
   /// Externally owned cancel token for this statement; null = the
@@ -281,6 +273,12 @@ class Database {
   }
 
  private:
+  /// The planner of every SELECT and EXPLAIN: this database's catalog,
+  /// UDFs, pool, options, bytecode cache and view registry, planning
+  /// under `ctx` (may be null: plan only) on the interpreted row path
+  /// when `force_interpreted`.
+  exec::Planner MakePlanner(const QueryContext* ctx, bool force_interpreted);
+
   /// Plans a bound SELECT (parse already done) and runs the plan
   /// under `ctx` (may be null: internal sub-selects of DDL run
   /// without lifecycle control when no context is supplied).

@@ -182,7 +182,7 @@ SpanAccumulator::SpanAccumulator(const std::vector<AggregateSpec>& specs,
   for (size_t i = 0; i < specs.size(); ++i) {
     if (!args[i].on_spans) continue;
     for (const VectorAggArg& arg : args[i].args) {
-      if (arg.prog != nullptr) break;
+      if (!arg.is_constant) break;
       const_args_[i].push_back(arg.constant);
     }
   }
@@ -213,7 +213,7 @@ Status SpanAccumulator::Accumulate(const ColumnSpanBatch& batch,
       // all argument lanes coexist for the per-row assembly.
       arg_regs_.resize(args.size());
       for (size_t a = 0; a < args.size(); ++a) {
-        if (args[a].prog == nullptr) continue;
+        if (args[a].is_constant) continue;
         NLQ_RETURN_IF_ERROR(
             vm_.EvalSpans(*args[a].prog, batch, slot_to_col_, n));
         vm_.CopyResult(*args[a].prog, n, &arg_regs_[a]);
@@ -221,7 +221,7 @@ Status SpanAccumulator::Accumulate(const ColumnSpanBatch& batch,
       row_args_.resize(args.size());
       for (size_t r = 0; r < n; ++r) {
         for (size_t a = 0; a < args.size(); ++a) {
-          row_args_[a] = args[a].prog == nullptr
+          row_args_[a] = args[a].is_constant
                              ? args[a].constant
                              : BoxRegValue(arg_regs_[a],
                                            args[a].prog->result_type(), r);

@@ -91,17 +91,19 @@ struct RowKeyEq {
 using GroupMap =
     std::unordered_map<storage::Row, GroupState, RowKeyHash, RowKeyEq>;
 
-/// One aggregate-call argument in the span ROW phase: either a compiled
-/// program evaluated per batch, or a literal Datum passed through
-/// unchanged (aggregate UDFs like nlq_list take leading VARCHAR
-/// configuration literals, which must not require compilation). `col`
-/// is the argument's span column when it is a bare non-VARCHAR column
-/// reference (-1 otherwise); such an argument is read straight off the
-/// span, with the same values its program would produce.
+/// One aggregate-call argument in the span ROW phase: a literal Datum
+/// passed through unchanged (aggregate UDFs like nlq_list take leading
+/// VARCHAR configuration literals, which must not require
+/// compilation), or an expression over the input. `col` is the
+/// argument's span column when it is a bare non-VARCHAR column
+/// reference (-1 otherwise); the ROW loops that read such an argument
+/// straight off the span (builtins, `on_spans` UDF calls) need no
+/// program, so `prog` is compiled only for the loops that evaluate it.
 struct VectorAggArg {
-  CompiledExprPtr prog;     // null when `constant` applies
+  bool is_constant = false;  // `constant` applies
   storage::Datum constant;
   int col = -1;
+  CompiledExprPtr prog;  // null for constants and span-read columns
 };
 
 /// Per-AggregateSpec span arguments, parallel to BoundAggregation::specs.

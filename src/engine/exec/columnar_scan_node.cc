@@ -15,6 +15,12 @@ using storage::NullBitGet;
 using storage::NullBitmapWords;
 using storage::NullBitSet;
 
+namespace {
+
+/// ANDs one pushed-down comparison into `keep`. Values are widened to
+/// double exactly like Datum::AsDouble, so the verdict matches the
+/// row-path interpreter bit for bit; NULL operands fail every
+/// comparison (UNKNOWN drops the row, as in FilterNode).
 void ApplyColumnFilter(const ColumnFilter& f, const ColumnSpanBatch& in,
                        uint8_t* keep) {
   const double* dv = in.doubles[f.col];
@@ -41,8 +47,6 @@ void ApplyColumnFilter(const ColumnFilter& f, const ColumnSpanBatch& in,
     if (!pass) keep[r] = 0;
   }
 }
-
-namespace {
 
 /// Stream over one morsel — rows [begin, end) of one partition. In
 /// streaming mode batches are decoded page-by-page through a
@@ -238,9 +242,23 @@ StatusOr<ExecStreamPtr> ColumnarScanNode::OpenStreamImpl(size_t) const {
 StatusOr<ColumnStreamPtr> ColumnarScanNode::OpenColumnStreamImpl(
     size_t s) const {
   const Morsel& m = grid_[s];
+  return NewStream(m.partition, m.begin, m.end,
+                   use_cache_ && !cache_suppressed_ && !spilled_);
+}
+
+ColumnStreamPtr ColumnarScanNode::OpenRangeStream(size_t partition,
+                                                  uint64_t begin,
+                                                  uint64_t end) const {
+  return InstrumentColumnStream(
+      NewStream(partition, begin, end, /*use_cache=*/false));
+}
+
+ColumnStreamPtr ColumnarScanNode::NewStream(size_t partition, uint64_t begin,
+                                            uint64_t end,
+                                            bool use_cache) const {
   return ColumnStreamPtr(new ColumnarScanStream(
-      &table_->partition(m.partition), m.begin, m.end, slots_, filters_,
-      use_cache_ && !cache_suppressed_ && !spilled_, batch_capacity_, ctx_));
+      &table_->partition(partition), begin, end, slots_, filters_, use_cache,
+      batch_capacity_, ctx_));
 }
 
 Status ColumnarScanNode::WarmCache(ThreadPool* pool) const {

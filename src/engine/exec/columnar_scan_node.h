@@ -30,15 +30,6 @@ struct ColumnFilter {
   std::string text;             // display form for EXPLAIN
 };
 
-/// ANDs one pushed-down comparison into `keep`. Values are widened to
-/// double exactly like Datum::AsDouble, so the verdict matches the
-/// row-path interpreter bit for bit; NULL operands fail every
-/// comparison (UNKNOWN drops the row, as in FilterNode). Shared with
-/// the maintained-view refresh path, which must keep and drop exactly
-/// the rows the scan would.
-void ApplyColumnFilter(const ColumnFilter& f, const ColumnSpanBatch& in,
-                       uint8_t* keep);
-
 /// Leaf of the columnar pipeline: scans a partitioned table's pages
 /// straight into typed column arrays (no Datum boxing) and applies
 /// pushed-down simple comparisons by span compaction. Driven through
@@ -76,6 +67,14 @@ class ColumnarScanNode : public PlanNode {
 
   StatusOr<ColumnStreamPtr> OpenColumnStreamImpl(size_t s) const override;
 
+  /// Column stream over rows [begin, end) of partition `partition`,
+  /// decoded page by page with this scan's projection and pushed-down
+  /// filters — the stream a morsel opens without the cache — and
+  /// counted in this node's stats. The maintained-view registry reads
+  /// its seed and delta ranges through it.
+  ColumnStreamPtr OpenRangeStream(size_t partition, uint64_t begin,
+                                  uint64_t end) const;
+
   /// Fills each partition's decoded-column cache, one partition per
   /// pool task (Table::EnsureDecodedColumns is not safe against
   /// concurrent fills of the SAME partition, which morsel streams
@@ -92,6 +91,10 @@ class ColumnarScanNode : public PlanNode {
   /// Schema slot indices of the projected columns, in span order.
   const std::vector<size_t>& slots() const { return slots_; }
   const storage::Schema& schema() const { return table_->schema(); }
+  const storage::PartitionedTable* table() const { return table_; }
+  const std::string& table_name() const { return table_name_; }
+  const std::vector<ColumnFilter>& filters() const { return filters_; }
+  uint64_t morsel_rows() const { return morsel_rows_; }
 
   /// EXPLAIN note naming the one-row tables bound as constants into
   /// this scan's statement (empty: none).
@@ -117,6 +120,11 @@ class ColumnarScanNode : public PlanNode {
   /// budget; streams opened afterwards decode in streaming mode.
   mutable bool cache_suppressed_ = false;
   std::vector<Morsel> grid_;
+
+  /// The one stream factory: rows [begin, end) of `partition`, served
+  /// from the decoded-column cache or decoded page by page.
+  ColumnStreamPtr NewStream(size_t partition, uint64_t begin, uint64_t end,
+                            bool use_cache) const;
 };
 
 }  // namespace nlq::engine::exec

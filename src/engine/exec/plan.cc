@@ -77,6 +77,11 @@ StatusOr<ExecStreamPtr> PlanNode::OpenStream(size_t s) const {
 
 StatusOr<ColumnStreamPtr> PlanNode::OpenColumnStream(size_t s) const {
   NLQ_ASSIGN_OR_RETURN(ColumnStreamPtr stream, OpenColumnStreamImpl(s));
+  return InstrumentColumnStream(std::move(stream));
+}
+
+ColumnStreamPtr PlanNode::InstrumentColumnStream(
+    ColumnStreamPtr stream) const {
   if (stats_ == nullptr) return stream;
   return ColumnStreamPtr(
       std::make_unique<InstrumentedColumnStream>(std::move(stream), stats_));

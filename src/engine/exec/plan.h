@@ -90,6 +90,10 @@ class PlanNode {
   /// Span-cursor factory for columnar-pipeline nodes.
   virtual StatusOr<ColumnStreamPtr> OpenColumnStreamImpl(size_t s) const;
 
+  /// Wraps `stream` like OpenColumnStream does, for span cursors a node
+  /// hands out other than through it.
+  ColumnStreamPtr InstrumentColumnStream(ColumnStreamPtr stream) const;
+
   std::unique_ptr<PlanNode> child_;
 
  private:

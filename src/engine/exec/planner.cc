@@ -13,7 +13,6 @@
 #include "engine/exec/gather_node.h"
 #include "engine/exec/hash_aggregate_node.h"
 #include "engine/exec/limit_node.h"
-#include "engine/exec/maintained_view_node.h"
 #include "engine/exec/project_node.h"
 #include "engine/exec/scan_node.h"
 #include "engine/exec/sort_node.h"
@@ -31,6 +30,9 @@ using storage::Datum;
 using storage::PartitionedTable;
 using storage::Row;
 using storage::Schema;
+
+/// Rows per batch of every planned operator.
+constexpr size_t kBatchCapacity = RowBatch::kDefaultCapacity;
 
 /// One materialized small (model) table of the FROM list.
 struct SmallTable {
@@ -376,11 +378,14 @@ bool SplitWhereForPipeline(const FromInputs& inputs,
   return p->where_prog != nullptr;
 }
 
-/// Seals the fragment: collects every program's referenced slots into
-/// the scan projection and builds the slot -> span-column map. A
-/// fragment that reads no driver column at all (pure COUNT(*), constant
-/// projections) stays on the row path, which decodes nothing either.
-bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
+/// Seals the fragment: collects every program's referenced slots (and
+/// those of `agg`'s column arguments read off the spans, which have no
+/// program) into the scan projection and builds the slot -> span-column
+/// map. A fragment that reads no driver column at all (pure COUNT(*),
+/// constant projections) stays on the row path, which decodes nothing
+/// either.
+bool FinishPipeline(const FromInputs& inputs, const BoundAggregation* agg,
+                    VectorPipeline* p) {
   std::vector<size_t> referenced;
   auto collect = [&](const CompiledExprPtr& prog) {
     if (prog == nullptr) return;
@@ -390,8 +395,17 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
   };
   collect(p->where_prog);
   for (const auto& prog : p->key_progs) collect(prog);
-  for (const auto& spec : p->spec_args) {
-    for (const auto& arg : spec.args) collect(arg.prog);
+  for (size_t i = 0; i < p->spec_args.size(); ++i) {
+    const std::vector<VectorAggArg>& args = p->spec_args[i].args;
+    for (size_t a = 0; a < args.size(); ++a) {
+      size_t slot = 0;
+      if (args[a].prog != nullptr) {
+        collect(args[a].prog);
+      } else if (!args[a].is_constant &&
+                 agg->specs[i].args[a]->AsInputRef(&slot)) {
+        referenced.push_back(slot);
+      }
+    }
   }
   for (const auto& prog : p->proj_progs) collect(prog);
 
@@ -433,14 +447,22 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
   return true;
 }
 
+/// True when `e` is a bare non-VARCHAR column reference, whose slot it
+/// stores in `slot`: the argument form the span ROW loops read straight
+/// off the scan's spans.
+bool SpanColumnSlot(const BoundExpr& e, size_t* slot) {
+  return e.AsInputRef(slot) && e.result_type() != DataType::kVarchar;
+}
+
 /// Vector-pipeline plan of an aggregate: GROUP BY keys and aggregate
 /// arguments compile to bytecode and run over span batches (aggregate
 /// UDFs keep leading literal arguments as constants). Bare column
-/// arguments also record their span column, and a zero-key UDF call
-/// whose non-constant arguments are all bare columns is marked
-/// `on_spans` (AccumulateSpans over the scan's spans). HAVING and the
-/// SELECT projections operate per group on (keys, aggs) rows and stay
-/// interpreted.
+/// arguments record their span column, and a zero-key UDF call whose
+/// non-constant arguments are all bare columns is marked `on_spans`
+/// (AccumulateSpans over the scan's spans). An argument is compiled
+/// only when a ROW loop evaluates it: builtins and `on_spans` calls
+/// read bare columns off the spans. HAVING and the SELECT projections
+/// operate per group on (keys, aggs) rows and stay interpreted.
 VectorPipeline TryVectorAggregate(const FromInputs& inputs,
                                   const BoundAggregation& agg,
                                   const udf::UdfRegistry* registry,
@@ -456,76 +478,97 @@ VectorPipeline TryVectorAggregate(const FromInputs& inputs,
     p.key_progs.push_back(std::move(prog));
   }
   for (const AggregateSpec& spec : agg.specs) {
+    const bool udf = spec.kind == AggregateSpec::Kind::kUdf;
+    if (!udf && spec.kind != AggregateSpec::Kind::kCountStar &&
+        spec.args.size() != 1) {
+      return VectorPipeline{};
+    }
     VectorAggSpec vs;
-    if (spec.kind == AggregateSpec::Kind::kUdf) {
-      size_t a = 0;
-      storage::Datum lit;
-      while (a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit)) {
-        VectorAggArg arg;
-        arg.constant = std::move(lit);
-        vs.args.push_back(std::move(arg));
-        ++a;
-      }
-      for (; a < spec.args.size(); ++a) {
-        VectorAggArg arg;
+    size_t a = 0;
+    storage::Datum lit;
+    while (udf && a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit)) {
+      VectorAggArg arg;
+      arg.is_constant = true;
+      arg.constant = std::move(lit);
+      vs.args.push_back(std::move(arg));
+      ++a;
+    }
+    size_t slot = 0;
+    bool all_cols = a < spec.args.size();
+    for (size_t b = a; b < spec.args.size(); ++b) {
+      all_cols &= SpanColumnSlot(*spec.args[b], &slot);
+    }
+    vs.on_spans = agg.key_exprs.empty() && udf && spec.udaf != nullptr &&
+                  spec.udaf->SupportsColumnarSpans() && all_cols;
+    for (; a < spec.args.size(); ++a) {
+      VectorAggArg arg;
+      if (!vs.on_spans && (udf || !SpanColumnSlot(*spec.args[a], &slot))) {
         arg.prog = CompileExpr(*spec.args[a], cache);
         if (arg.prog == nullptr) return VectorPipeline{};
-        vs.args.push_back(std::move(arg));
       }
-    } else if (spec.kind != AggregateSpec::Kind::kCountStar) {
-      VectorAggArg arg;
-      arg.prog = spec.args.size() == 1 ? CompileExpr(*spec.args[0], cache)
-                                       : nullptr;
-      if (arg.prog == nullptr) return VectorPipeline{};
       vs.args.push_back(std::move(arg));
     }
     p.spec_args.push_back(std::move(vs));
   }
-  if (!FinishPipeline(inputs, &p)) return VectorPipeline{};
+  if (!FinishPipeline(inputs, &agg, &p)) return VectorPipeline{};
   for (size_t i = 0; i < agg.specs.size(); ++i) {
     const AggregateSpec& spec = agg.specs[i];
     VectorAggSpec& vs = p.spec_args[i];
-    bool all_cols = true;
     for (size_t a = 0; a < vs.args.size(); ++a) {
-      if (vs.args[a].prog == nullptr) continue;
       size_t slot = 0;
-      if (spec.args[a]->AsInputRef(&slot) &&
-          spec.args[a]->result_type() != DataType::kVarchar) {
+      if (SpanColumnSlot(*spec.args[a], &slot)) {
         vs.args[a].col = p.slot_to_col[slot];
-      } else {
-        all_cols = false;
       }
     }
-    vs.on_spans = agg.key_exprs.empty() &&
-                  spec.kind == AggregateSpec::Kind::kUdf &&
-                  spec.udaf != nullptr && spec.udaf->SupportsColumnarSpans() &&
-                  all_cols && !vs.args.empty() &&
-                  vs.args.back().prog != nullptr;
   }
   return p;
 }
 
-/// True when a planned aggregate has the maintained-view shape: a
-/// global aggregate over the driver table alone, every WHERE conjunct
-/// pushed into the scan, every argument a leading constant or a bare
-/// column, and every aggregate UDF call `on_spans`.
-bool ViewShape(const FromInputs& inputs, const BoundAggregation& agg,
-               bool has_having, const VectorPipeline& vp) {
-  if (!agg.key_exprs.empty() || has_having || !inputs.small.empty() ||
-      vp.where_prog != nullptr) {
+/// Maintained-view eligibility of a vector-planned aggregate
+/// (DESIGN.md §13): a global aggregate over the driver table alone,
+/// resident, every WHERE conjunct pushed into the scan, every argument
+/// a leading constant or a bare column, every aggregate UDF call
+/// `on_spans` and every UDF state relocatable. An ineligible aggregate
+/// that a view could otherwise serve leaves the reason, as its EXPLAIN
+/// note, in `note`.
+bool ViewEligible(const FromInputs& inputs, const BoundAggregation& agg,
+                  bool has_having, const VectorPipeline& vp,
+                  std::string* note) {
+  if (!agg.key_exprs.empty()) {
+    // Grouped n,L,Q aggregates stay unmaintained: hash-table output
+    // ordering is not replayable bit-identically.
+    for (const AggregateSpec& spec : agg.specs) {
+      if (spec.kind == AggregateSpec::Kind::kUdf) {
+        *note = "view=ineligible (group-by)";
+      }
+    }
     return false;
   }
+  if (has_having || !inputs.small.empty() || vp.where_prog != nullptr) {
+    return false;
+  }
+  bool relocatable = true;
   for (size_t i = 0; i < agg.specs.size(); ++i) {
+    const AggregateSpec& spec = agg.specs[i];
     const VectorAggSpec& vs = vp.spec_args[i];
-    switch (agg.specs[i].kind) {
+    switch (spec.kind) {
       case AggregateSpec::Kind::kCountStar:
         break;
       case AggregateSpec::Kind::kUdf:
         if (!vs.on_spans) return false;
+        relocatable &= spec.udaf->RelocatableStateSize() > 0;
         break;
       default:
         if (vs.args[0].col < 0) return false;
     }
+  }
+  if (inputs.driver->is_spilled()) {
+    *note = "view=ineligible (spilled)";
+    return false;
+  }
+  if (!relocatable) {
+    *note = "view=ineligible (non-relocatable aggregate state)";
+    return false;
   }
   return true;
 }
@@ -546,21 +589,20 @@ VectorPipeline TryVectorProjection(const FromInputs& inputs,
     if (prog == nullptr) return VectorPipeline{};
     p.proj_progs.push_back(std::move(prog));
   }
-  if (!FinishPipeline(inputs, &p)) return VectorPipeline{};
+  if (!FinishPipeline(inputs, /*agg=*/nullptr, &p)) return VectorPipeline{};
   return p;
 }
 
 }  // namespace
 
 Planner::Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,
-                 ThreadPool* pool, size_t batch_capacity,
-                 bool enable_column_cache, uint64_t morsel_rows,
-                 const QueryContext* ctx, bool enable_expr_compile,
-                 BytecodeCache* bytecode_cache, ViewRegistry* views)
+                 ThreadPool* pool, bool enable_column_cache,
+                 uint64_t morsel_rows, const QueryContext* ctx,
+                 bool enable_expr_compile, BytecodeCache* bytecode_cache,
+                 ViewRegistry* views)
     : catalog_(catalog),
       registry_(registry),
       pool_(pool),
-      batch_capacity_(batch_capacity),
       enable_column_cache_(enable_column_cache),
       morsel_rows_(morsel_rows),
       ctx_(ctx),
@@ -596,7 +638,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
     PlanNodePtr node;
     if (inputs.driver != nullptr) {
       auto scan = std::make_unique<ParallelScanNode>(
-          inputs.driver, select.from[0].table_name, batch_capacity_,
+          inputs.driver, select.from[0].table_name, kBatchCapacity,
           morsel_rows_, ctx_);
       scan->set_constants_note(inputs.constants_note);
       node = std::move(scan);
@@ -621,7 +663,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
                            std::vector<ColumnFilter> filters, bool use_cache) {
     auto scan = std::make_unique<ColumnarScanNode>(
         inputs.driver, select.from[0].table_name, std::move(slots),
-        std::move(filters), use_cache, batch_capacity_, morsel_rows_, ctx_);
+        std::move(filters), use_cache, kBatchCapacity, morsel_rows_, ctx_);
     scan->set_constants_note(inputs.constants_note);
     return scan;
   };
@@ -641,7 +683,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
           std::move(chain), std::move(small.rows),
           small.schema->num_columns(), std::move(small.display),
           std::move(small.pushed_texts));
-      join->EnableSpans(vp->cross_cols[t], batch_capacity_, ctx_);
+      join->EnableSpans(vp->cross_cols[t], kBatchCapacity, ctx_);
       chain = std::move(join);
     }
     if (vp->where_prog != nullptr) {
@@ -682,85 +724,48 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       vp = TryVectorAggregate(inputs, agg, registry_, bytecode_cache_);
     }
     if (vp.eligible) {
-      // Maintained-view decision: a global aggregate of the view shape
-      // whose states are relocatable can be served from (and
-      // incrementally maintain) registered per-morsel partials. A
-      // spilled or unmaintainable statement, and the one statement that
-      // observes a just-invalidated entry, runs the vector pipeline with
-      // an explanatory EXPLAIN note instead. Grouped n,L,Q aggregates
-      // stay unmaintained: hash-table output ordering is not replayable
-      // bit-identically (DESIGN.md §13).
+      // Keys and aggregate arguments run compiled over span batches;
+      // non-pushable WHERE conjuncts run as one compiled VectorFilter
+      // program.
       std::string view_note;
-      if (views_ != nullptr && !agg.key_exprs.empty()) {
-        for (const AggregateSpec& spec : agg.specs) {
-          if (spec.kind == AggregateSpec::Kind::kUdf) {
-            view_note = "view=ineligible (group-by)";
-          }
-        }
-      } else if (views_ != nullptr && ViewShape(inputs, agg, has_having, vp)) {
-        bool relocatable = true;
-        for (const AggregateSpec& spec : agg.specs) {
-          relocatable &= spec.kind != AggregateSpec::Kind::kUdf ||
-                         spec.udaf->RelocatableStateSize() > 0;
-        }
-        if (inputs.driver->is_spilled()) {
-          view_note = "view=ineligible (spilled)";
-        } else if (!relocatable) {
-          view_note = "view=ineligible (non-relocatable aggregate state)";
+      const bool view_eligible =
+          views_ != nullptr &&
+          ViewEligible(inputs, agg, has_having, vp, &view_note);
+      const ColumnarScanNode* scan_ptr = nullptr;
+      PlanNodePtr chain = vector_input(&vp, enable_column_cache_, &scan_ptr);
+      auto vagg = std::make_unique<VectorHashAggregateNode>(
+          std::move(chain), scan_ptr, std::move(agg), std::move(vp.key_progs),
+          std::move(vp.spec_args), std::move(vp.slot_to_col), has_having,
+          has_having ? select.having->ToString() : std::string(),
+          select.items.size(), pool_, ctx_);
+      if (view_eligible) {
+        // Maintained view (DESIGN.md §13): the node serves its zero-key
+        // group from registered per-morsel partials, refreshed by the
+        // rows appended since. The one statement that observes a
+        // just-invalidated entry runs unbound; the next one reseeds.
+        const ViewProbe probe = views_->Probe(vagg->view_descriptor());
+        if (probe.invalidated) {
+          view_note = "view=stale";
         } else {
-          ViewDescriptor d;
-          d.table = inputs.driver;
-          d.table_name = select.from[0].table_name;
-          d.slots = vp.slots;
-          d.filters = vp.scan_filters;
-          d.specs = &agg.specs;
-          d.args = &vp.spec_args;
-          d.slot_to_col = &vp.slot_to_col;
-          d.morsel_rows = morsel_rows_;
-          d.batch_capacity = batch_capacity_;
-          const ViewProbe probe = views_->Probe(d);
-          if (probe.invalidated) {
-            // The entry was dropped; this statement rescans normally
-            // and the next eligible one reseeds the view.
-            view_note = "view=stale";
-          } else {
-            std::string state =
-                probe.registered
-                    ? StringPrintf(
-                          "view=fresh delta=%llu of %llu row(s)",
-                          static_cast<unsigned long long>(probe.delta_rows),
-                          static_cast<unsigned long long>(probe.total_rows))
-                    : StringPrintf(
-                          "view=stale (seeding %llu row(s))",
-                          static_cast<unsigned long long>(probe.total_rows));
-            node = std::make_unique<MaintainedViewNode>(
-                views_, std::move(d), std::move(agg), std::move(vp.spec_args),
-                std::move(vp.slot_to_col), select.items.size(),
-                std::move(state), pool_, ctx_);
-          }
+          vagg->BindView(views_);
+          view_note =
+              probe.registered
+                  ? StringPrintf(
+                        "view=fresh delta=%llu of %llu row(s)",
+                        static_cast<unsigned long long>(probe.delta_rows),
+                        static_cast<unsigned long long>(probe.total_rows))
+                  : StringPrintf(
+                        "view=stale (seeding %llu row(s))",
+                        static_cast<unsigned long long>(probe.total_rows));
         }
       }
-      if (node == nullptr) {
-        // Keys and aggregate arguments run compiled over span batches;
-        // non-pushable WHERE conjuncts run as one compiled VectorFilter
-        // program.
-        const ColumnarScanNode* scan_ptr = nullptr;
-        PlanNodePtr chain =
-            vector_input(&vp, enable_column_cache_, &scan_ptr);
-        auto vagg = std::make_unique<VectorHashAggregateNode>(
-            std::move(chain), scan_ptr, std::move(agg),
-            std::move(vp.key_progs), std::move(vp.spec_args),
-            std::move(vp.slot_to_col), has_having,
-            has_having ? select.having->ToString() : std::string(),
-            select.items.size(), pool_, ctx_);
-        if (!view_note.empty()) vagg->set_view_note(std::move(view_note));
-        node = std::move(vagg);
-      }
+      if (!view_note.empty()) vagg->set_view_note(std::move(view_note));
+      node = std::move(vagg);
     } else {
       node = std::make_unique<HashAggregateNode>(
           row_input(), std::move(agg), has_having,
           has_having ? select.having->ToString() : std::string(),
-          select.items.size(), pool_, batch_capacity_, ctx_);
+          select.items.size(), pool_, kBatchCapacity, ctx_);
     }
   } else {
     // Expand the select list (handling bare `*`).
@@ -803,7 +808,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
     }
     if (node->num_streams() > 1) {
       node = std::make_unique<GatherNode>(std::move(node), pool_,
-                                          batch_capacity_, ctx_);
+                                          kBatchCapacity, ctx_);
     }
   }
 

@@ -8,7 +8,6 @@
 #include "common/threadpool.h"
 #include "engine/ast.h"
 #include "engine/exec/bytecode.h"
-#include "engine/exec/morsel.h"
 #include "engine/exec/plan.h"
 #include "storage/catalog.h"
 #include "storage/schema.h"
@@ -38,7 +37,7 @@ struct PhysicalPlan {
 /// tables, ORDER BY binding over the result schema) so that
 /// execution is pure data flow. Planning a statement does not scan
 /// the driver table; only the small cross-join sides are
-/// materialized, exactly as the previous monolithic executor did.
+/// materialized.
 ///
 /// With expression compilation enabled, single-table SELECTs whose
 /// expressions all compile to bytecode run on the columnar pipeline:
@@ -50,18 +49,25 @@ struct PhysicalPlan {
 ///
 /// with simple `column <op> literal` comparisons pushed into the scan
 /// and the remaining WHERE conjuncts ANDed into one compiled
-/// VectorFilter program; scalar UDF calls compile to span calls. A
-/// global aggregate is VectorHashAggregate's zero-key group; in it, an
-/// aggregate UDF call whose non-constant arguments are all bare
+/// VectorFilter program; scalar UDF calls compile to span calls. An
+/// aggregate therefore ends in one of two node types:
+/// VectorHashAggregate, or the row path's HashAggregate oracle.
+///
+/// A global aggregate is VectorHashAggregate's zero-key group; in it,
+/// an aggregate UDF call whose non-constant arguments are all bare
 /// columns — the paper's N,L,Q summary queries — accumulates straight
-/// off the scan's column spans (AggregateUdf::AccumulateSpans). A
-/// FROM-list model
-/// table that WHERE pushdown leaves with exactly one row is bound as
-/// constants rather than cross-joined, so the paper's scoring
-/// statements are single-table here; one left with no rows empties
-/// the join (a ConstantInput leaf with no rows); one with two or more
-/// rows becomes a CrossJoin over column spans between the scan and the
-/// rest of the pipeline. Statements that stay on the row path
+/// off the scan's column spans (AggregateUdf::AccumulateSpans). With a
+/// view registry, such an aggregate of the maintained-view shape is
+/// bound to the registry and served from registered per-morsel
+/// partials (EXPLAIN: `view=fresh delta=…` / `view=stale (seeding
+/// …)`).
+///
+/// A FROM-list model table that WHERE pushdown leaves with exactly one
+/// row is bound as constants rather than cross-joined, so the paper's
+/// scoring statements are single-table here; one left with no rows
+/// empties the join (a ConstantInput leaf with no rows); one with two
+/// or more rows becomes a CrossJoin over column spans between the scan
+/// and the rest of the pipeline. Statements that stay on the row path
 /// (SELECT *, VARCHAR expressions) run fully interpreted, and with
 /// expression compilation off every statement does, cross joins
 /// included: that is the differential oracle.
@@ -80,18 +86,13 @@ class Planner {
   /// `bytecode_cache` — optional — deduplicates compiled programs
   /// across statements; it must outlive the plan.
   /// `views` — optional — is the maintained-view registry: when set,
-  /// eligible global aggregates plan a MaintainedViewScan that
-  /// serves (and incrementally refreshes) materialized per-morsel
-  /// partials instead of rescanning; it must outlive the plan.
+  /// eligible global aggregates are served from (and incrementally
+  /// refresh) materialized per-morsel partials instead of rescanning;
+  /// it must outlive the plan.
   Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,
-          ThreadPool* pool,
-          size_t batch_capacity = RowBatch::kDefaultCapacity,
-          bool enable_column_cache = true,
-          uint64_t morsel_rows = kDefaultMorselRows,
-          const QueryContext* ctx = nullptr,
-          bool enable_expr_compile = true,
-          BytecodeCache* bytecode_cache = nullptr,
-          ViewRegistry* views = nullptr);
+          ThreadPool* pool, bool enable_column_cache, uint64_t morsel_rows,
+          const QueryContext* ctx, bool enable_expr_compile,
+          BytecodeCache* bytecode_cache, ViewRegistry* views);
 
   StatusOr<PhysicalPlan> Plan(const SelectStatement& select) const;
 
@@ -99,7 +100,6 @@ class Planner {
   storage::Catalog* catalog_;
   const udf::UdfRegistry* registry_;
   ThreadPool* pool_;
-  size_t batch_capacity_;
   bool enable_column_cache_;
   uint64_t morsel_rows_;
   const QueryContext* ctx_;

@@ -149,6 +149,24 @@ StatusOr<ExecStreamPtr> VectorHashAggregateNode::OpenStreamImpl(size_t) const {
 }
 
 StatusOr<std::vector<Row>> VectorHashAggregateNode::Compute() const {
+  if (views_ != nullptr) {
+    StatusOr<GroupState> served = views_->Serve(view_descriptor(), pool_, ctx_);
+    if (served.ok()) {
+      std::vector<Row> rows(1);
+      NLQ_RETURN_IF_ERROR(ProjectGroup(agg_, has_having_, num_output_,
+                                       *served, &rows[0])
+                              .status());
+      return rows;
+    }
+    // The registry dropped the entry; anything but cancellation or a
+    // deadline degrades to the rescan below.
+    const StatusCode code = served.status().code();
+    if (code == StatusCode::kCancelled ||
+        code == StatusCode::kDeadlineExceeded) {
+      return served.status();
+    }
+  }
+
   // Fill the decoded-column cache one partition per task BEFORE the
   // morsel drain (Table::EnsureDecodedColumns is not safe against
   // concurrent fills of the same partition).

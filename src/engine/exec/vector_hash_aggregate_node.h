@@ -10,6 +10,7 @@
 #include "engine/exec/bytecode.h"
 #include "engine/exec/columnar_scan_node.h"
 #include "engine/exec/plan.h"
+#include "engine/exec/view_registry.h"
 #include "engine/expr.h"
 
 namespace nlq::engine::exec {
@@ -27,6 +28,12 @@ namespace nlq::engine::exec {
 /// column arguments are read straight off the spans and `on_spans`
 /// aggregate UDF calls (the paper's n,L,Q builds) go through
 /// AggregateUdf::AccumulateSpans on those spans, zero-copy.
+///
+/// Bound to the maintained-view registry (BindView), the node asks the
+/// registry to serve its zero-key group first — refreshed by only the
+/// rows appended since the last serve — and drains its own streams
+/// only when the registry fails for a reason other than cancellation
+/// or deadline: that drain is the rescan fallback.
 ///
 /// Bit-exactness with the row path holds because (a) group-key Datums
 /// are boxed from the same arithmetic the interpreter performs, (b)
@@ -53,13 +60,25 @@ class VectorHashAggregateNode : public PlanNode {
   size_t num_streams() const override { return 1; }
   StatusOr<ExecStreamPtr> OpenStreamImpl(size_t s) const override;
 
-  /// Runs the four phases to completion and returns the result rows.
+  /// Runs the four phases to completion (or serves the bound view) and
+  /// returns the result rows.
   StatusOr<std::vector<storage::Row>> Compute() const;
 
-  /// EXPLAIN view annotation (e.g. "view=ineligible (group-by)") set
-  /// only when the planner runs with view maintenance enabled; empty
-  /// keeps the default EXPLAIN output unchanged.
+  /// EXPLAIN view annotation ("view=fresh delta=Δ of N row(s)",
+  /// "view=ineligible (group-by)", ...) set only when the planner runs
+  /// with view maintenance enabled; empty keeps the default EXPLAIN
+  /// output unchanged.
   void set_view_note(std::string note) { view_note_ = std::move(note); }
+
+  /// The maintained-view shape of this zero-key aggregate: its scan,
+  /// specs, span arguments and slot map.
+  ViewDescriptor view_descriptor() const {
+    return ViewDescriptor{scan_, &agg_.specs, &spec_args_, &slot_to_col_};
+  }
+
+  /// Serves this aggregate from `views`, which must outlive the node.
+  /// The planner binds only view-eligible zero-key aggregates.
+  void BindView(ViewRegistry* views) { views_ = views; }
 
  private:
   const ColumnarScanNode* scan_;
@@ -73,6 +92,7 @@ class VectorHashAggregateNode : public PlanNode {
   ThreadPool* pool_;
   const QueryContext* ctx_;
   std::string view_note_;
+  ViewRegistry* views_ = nullptr;
 };
 
 }  // namespace nlq::engine::exec

@@ -6,13 +6,10 @@
 
 #include "common/failpoint.h"
 #include "common/strings.h"
-#include "engine/exec/morsel.h"
-#include "storage/column_batch.h"
 
 namespace nlq::engine::exec {
 namespace {
 
-using storage::ColumnVector;
 using storage::DataType;
 using storage::Datum;
 using storage::Row;
@@ -41,71 +38,17 @@ void AppendDatumKey(const Datum& v, std::string* out) {
   }
 }
 
-/// Accumulates rows [begin, end) of `part` into `state` through the
-/// exact batch semantics of the streaming columnar scan: spans pointed
-/// at the scanner's decoded columns, pushed-down filters ANDed into a
-/// keep mask, fully-filtered batches skipped entirely (AccumulateSpans
-/// is never called for them — matching ColumnarScanStream::Filter),
-/// surviving batches compacted order-preserving, then the zero-key ROW
-/// phase VectorHashAggregateNode runs. Identical code path shape ⇒
-/// identical FP operation sequence ⇒ identical bits.
-Status AccumulateRange(const storage::Table& part, const ViewDescriptor& d,
-                       GroupState* state, uint64_t begin, uint64_t end,
-                       const QueryContext* ctx, bool use_failpoint,
-                       SpanAccumulator* acc,
-                       std::vector<ScratchColumn>* compact,
-                       std::vector<uint8_t>* keep) {
-  if (use_failpoint) NLQ_FAILPOINT("view_maintenance");
-  storage::ColumnBatchScanner scanner =
-      part.ScanColumnBatchRange(d.slots, begin, end, d.batch_capacity);
-  storage::ColumnBatch batch;
-  ColumnSpanBatch span;
-  const size_t ncols = d.slots.size();
-  for (;;) {
-    if (ctx != nullptr) NLQ_RETURN_IF_ERROR(ctx->CheckAlive());
-    const bool more = scanner.Next(&batch);
-    if (!scanner.status().ok()) return scanner.status();
-    if (!more) break;
-    span.rows = batch.size();
-    span.doubles.assign(ncols, nullptr);
-    span.ints.assign(ncols, nullptr);
-    span.null_bits.assign(ncols, nullptr);
-    for (size_t c = 0; c < ncols; ++c) {
-      const ColumnVector& col = batch.column(c);
-      if (col.type == DataType::kDouble) {
-        span.doubles[c] = col.double_data();
-      } else {
-        span.ints[c] = col.int_data();
-      }
-      if (col.has_nulls()) span.null_bits[c] = col.null_bits.data();
-    }
-    if (!d.filters.empty()) {
-      keep->assign(span.rows, 1);
-      for (const ColumnFilter& f : d.filters) {
-        ApplyColumnFilter(f, span, keep->data());
-      }
-      if (CompactColumnSpans(&span, keep->data(), compact) == 0) continue;
-    }
-    NLQ_RETURN_IF_ERROR(acc->Accumulate(span, state, nullptr));
-  }
-  if (ctx != nullptr && ctx->stats() != nullptr) {
-    ctx->stats()->pages_decoded.fetch_add(scanner.pages_decoded(),
-                                          std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 ViewRegistry::ViewRegistry(size_t max_views, uint64_t memory_limit_bytes)
     : max_views_(max_views), memory_(memory_limit_bytes) {}
 
 std::string ViewRegistry::KeyOf(const ViewDescriptor& d) {
-  std::string key = d.table_name;
+  std::string key = d.scan->table_name();
   key += "|s:";
-  for (const size_t slot : d.slots) key += StringPrintf("%zu,", slot);
+  for (const size_t slot : d.scan->slots()) key += StringPrintf("%zu,", slot);
   key += "|f:";
-  for (const ColumnFilter& f : d.filters) {
+  for (const ColumnFilter& f : d.scan->filters()) {
     key += StringPrintf("%zu~%d~", f.col, static_cast<int>(f.op));
     AppendDoubleBits(f.value, &key);
     key += ";";
@@ -117,7 +60,7 @@ std::string ViewRegistry::KeyOf(const ViewDescriptor& d) {
     if (spec.udaf != nullptr) key += spec.udaf->name();
     key += "(";
     for (const VectorAggArg& arg : (*d.args)[i].args) {
-      if (arg.prog == nullptr) {
+      if (arg.is_constant) {
         AppendDatumKey(arg.constant, &key);
       } else {
         key += StringPrintf("#%d", arg.col);
@@ -127,16 +70,18 @@ std::string ViewRegistry::KeyOf(const ViewDescriptor& d) {
     key += ")";
     key += StringPrintf("%d;", static_cast<int>(spec.result_type));
   }
-  key += StringPrintf("|m:%llu", static_cast<unsigned long long>(d.morsel_rows));
+  key += StringPrintf("|m:%llu",
+                      static_cast<unsigned long long>(d.scan->morsel_rows()));
   return key;
 }
 
 bool ViewRegistry::EntryCurrent(const Entry& e, const ViewDescriptor& d) {
-  if (e.table != d.table) return false;  // DROP + CREATE reused the name
-  const size_t parts = d.table->num_partitions();
+  const storage::PartitionedTable* table = d.scan->table();
+  if (e.table != table) return false;  // DROP + CREATE reused the name
+  const size_t parts = table->num_partitions();
   if (e.epochs.size() != parts) return false;
   for (size_t p = 0; p < parts; ++p) {
-    const storage::Table& part = d.table->partition(p);
+    const storage::Table& part = table->partition(p);
     if (part.is_spilled()) return false;
     if (part.mutation_epoch() != e.epochs[p]) return false;
     if (part.num_rows() < e.watermarks[p]) return false;
@@ -146,8 +91,9 @@ bool ViewRegistry::EntryCurrent(const Entry& e, const ViewDescriptor& d) {
 
 ViewProbe ViewRegistry::Probe(const ViewDescriptor& d) {
   std::lock_guard<std::mutex> lock(mu_);
+  const storage::PartitionedTable* table = d.scan->table();
   ViewProbe probe;
-  probe.total_rows = d.table->num_rows();
+  probe.total_rows = table->num_rows();
   auto it = views_.find(KeyOf(d));
   if (it == views_.end()) return probe;
   if (!EntryCurrent(*it->second, d)) {
@@ -158,9 +104,9 @@ ViewProbe ViewRegistry::Probe(const ViewDescriptor& d) {
     return probe;
   }
   probe.registered = true;
-  for (size_t p = 0; p < d.table->num_partitions(); ++p) {
+  for (size_t p = 0; p < table->num_partitions(); ++p) {
     probe.delta_rows +=
-        d.table->partition(p).num_rows() - it->second->watermarks[p];
+        table->partition(p).num_rows() - it->second->watermarks[p];
   }
   return probe;
 }
@@ -169,23 +115,22 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
                                       ThreadPool* pool,
                                       const QueryContext* ctx,
                                       uint64_t* delta_rows) {
-  const size_t parts = d.table->num_partitions();
+  const storage::PartitionedTable* table = d.scan->table();
+  const size_t parts = table->num_partitions();
   uint64_t delta = 0;
   for (size_t p = 0; p < parts; ++p) {
-    delta += d.table->partition(p).num_rows() - e->watermarks[p];
+    delta += table->partition(p).num_rows() - e->watermarks[p];
   }
   *delta_rows = delta;
 
   auto refresh_one = [&](size_t p) -> Status {
-    const storage::Table& part = d.table->partition(p);
-    const uint64_t cur = part.num_rows();
+    const uint64_t cur = table->partition(p).num_rows();
     uint64_t wm = e->watermarks[p];
     if (cur == wm) return Status::OK();
-    const uint64_t mr = d.morsel_rows;
+    const uint64_t mr = d.scan->morsel_rows();
     auto& plist = e->partials[p];
     SpanAccumulator acc(*d.specs, *d.args, *d.slot_to_col, ctx);
-    std::vector<ScratchColumn> compact(d.slots.size());
-    std::vector<uint8_t> keep;
+    ColumnSpanBatch batch;
     while (wm < cur) {
       // The morsel the watermark sits in: extend its partial from the
       // watermark to the morsel end (or table end). Morsel boundaries
@@ -202,9 +147,17 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
                              InitGroupState(*d.specs, Row{}, &memory_));
         plist.push_back(std::move(fresh));
       }
-      NLQ_RETURN_IF_ERROR(AccumulateRange(part, d, &plist[mi], wm, mend, ctx,
-                                          /*use_failpoint=*/true, &acc,
-                                          &compact, &keep));
+      // The rows come through the scan's own stream (streaming decode,
+      // pushed-down filters, compaction) and feed the node's zero-key
+      // ROW phase: the batches and the FP operation sequence a rescan
+      // runs over the same rows.
+      NLQ_FAILPOINT("view_maintenance");
+      ColumnStreamPtr rows = d.scan->OpenRangeStream(p, wm, mend);
+      for (;;) {
+        NLQ_ASSIGN_OR_RETURN(const bool more, rows->Next(&batch));
+        if (!more) break;
+        NLQ_RETURN_IF_ERROR(acc.Accumulate(batch, &plist[mi], nullptr));
+      }
       wm = mend;
     }
     e->watermarks[p] = cur;
@@ -251,33 +204,6 @@ StatusOr<GroupState> ViewRegistry::MergeClone(const Entry& e,
   return acc;
 }
 
-StatusOr<GroupState> ViewRegistry::RescanWithoutView(const ViewDescriptor& d,
-                                                     ThreadPool* pool,
-                                                     const QueryContext* ctx) {
-  const std::vector<Morsel> grid = BuildMorselGrid(*d.table, d.morsel_rows);
-  const size_t n = grid.size();
-  std::vector<GroupState> partials(n);
-  MemoryTracker* memory = ctx != nullptr ? ctx->memory() : nullptr;
-  auto drain_one = [&](size_t m) -> Status {
-    NLQ_ASSIGN_OR_RETURN(partials[m], InitGroupState(*d.specs, Row{}, memory));
-    SpanAccumulator acc(*d.specs, *d.args, *d.slot_to_col, ctx);
-    std::vector<ScratchColumn> compact(d.slots.size());
-    std::vector<uint8_t> keep;
-    return AccumulateRange(d.table->partition(grid[m].partition), d,
-                           &partials[m], grid[m].begin, grid[m].end, ctx,
-                           /*use_failpoint=*/false, &acc, &compact, &keep);
-  };
-  if (n == 1 || pool == nullptr) {
-    for (size_t m = 0; m < n; ++m) NLQ_RETURN_IF_ERROR(drain_one(m));
-  } else {
-    NLQ_RETURN_IF_ERROR(pool->ParallelFor(n, drain_one, ctx));
-  }
-  for (size_t m = 1; m < n; ++m) {
-    NLQ_RETURN_IF_ERROR(MergeGroup(*d.specs, &partials[0], &partials[m]));
-  }
-  return std::move(partials[0]);
-}
-
 StatusOr<GroupState> ViewRegistry::Serve(const ViewDescriptor& d,
                                          ThreadPool* pool,
                                          const QueryContext* ctx) {
@@ -292,15 +218,16 @@ StatusOr<GroupState> ViewRegistry::Serve(const ViewDescriptor& d,
   }
   const bool seeded = it == views_.end();
   if (seeded) {
+    const storage::PartitionedTable* table = d.scan->table();
     auto entry = std::make_unique<Entry>();
-    entry->table = d.table;
-    entry->table_name = d.table_name;
-    const size_t parts = d.table->num_partitions();
+    entry->table = table;
+    entry->table_name = d.scan->table_name();
+    const size_t parts = table->num_partitions();
     entry->epochs.resize(parts);
     entry->watermarks.assign(parts, 0);
     entry->partials.resize(parts);
     for (size_t p = 0; p < parts; ++p) {
-      entry->epochs[p] = d.table->partition(p).mutation_epoch();
+      entry->epochs[p] = table->partition(p).mutation_epoch();
     }
     it = views_.emplace(key, std::move(entry)).first;
   }
@@ -315,19 +242,16 @@ StatusOr<GroupState> ViewRegistry::Serve(const ViewDescriptor& d,
     // A half-applied delta leaves the stored partials unusable either
     // way: drop the entry. Cancellation/deadline unwind the statement;
     // anything else (injected view_maintenance fault, exhausted view
-    // memory, decode error) degrades to a registry-free full rescan —
+    // memory, decode error) degrades to the caller's own full rescan —
     // a slower statement, never a wrong one.
     views_.erase(it);
     const StatusCode code = merged.status().code();
-    if (code == StatusCode::kCancelled ||
-        code == StatusCode::kDeadlineExceeded) {
-      return merged.status();
-    }
-    if (stats != nullptr) {
+    if (stats != nullptr && code != StatusCode::kCancelled &&
+        code != StatusCode::kDeadlineExceeded) {
       stats->view_misses.fetch_add(1, std::memory_order_relaxed);
       stats->view_rebuilds.fetch_add(1, std::memory_order_relaxed);
     }
-    return RescanWithoutView(d, pool, ctx);
+    return merged.status();
   }
 
   if (stats != nullptr) {

@@ -17,23 +17,19 @@
 
 namespace nlq::engine::exec {
 
-/// Identity of one maintainable aggregate query shape: the (table,
-/// column-set, WHERE-conjunct, aggregate-list) key a materialized
-/// sufficient-statistic view is registered under. The aggregate
-/// vectors are referenced, not owned — they live in the plan node
-/// driving the call. Every argument is a leading constant or a bare
-/// column (`VectorAggArg::col` indexes `slots`), every aggregate UDF
-/// call is `on_spans`.
+/// One maintainable aggregate query shape, as the zero-key
+/// VectorHashAggregateNode planned over `scan` holds it: the scan gives
+/// the table, projected column slots, pushed-down WHERE conjuncts and
+/// morsel grid; the node gives the aggregate specs, their span
+/// arguments and the slot -> span-column map. Nothing is owned; the
+/// node and its scan outlive every call. Every argument is a leading
+/// constant or a bare column (`VectorAggArg::col`), and every
+/// aggregate UDF call is `on_spans`.
 struct ViewDescriptor {
-  const storage::PartitionedTable* table = nullptr;
-  std::string table_name;
-  std::vector<size_t> slots;            // projected schema slots
-  std::vector<ColumnFilter> filters;    // pushed-down conjuncts
+  const ColumnarScanNode* scan = nullptr;
   const std::vector<AggregateSpec>* specs = nullptr;
   const std::vector<VectorAggSpec>* args = nullptr;  // parallel to specs
   const std::vector<int>* slot_to_col = nullptr;
-  uint64_t morsel_rows = 0;
-  size_t batch_capacity = 1024;
 };
 
 /// Plan-time freshness probe result.
@@ -46,32 +42,33 @@ struct ViewProbe {
 
 /// Registry of materialized sufficient-statistic views: per-morsel
 /// zero-key group states (aggregate_state.h GroupState) kept across
-/// statements, keyed by query shape. They accumulate, merge and
-/// finalize through the same aggregate_state code as
-/// VectorHashAggregateNode's zero-key group. A Serve() accumulates only the
-/// rows appended past each partition's watermark — O(delta) — then
-/// merges a *clone* of the stored partials in morsel-index order, so
-/// the result is bit-identical to a full rescan by the engine's
-/// merge-order contract (DESIGN.md section 13 gives the argument).
+/// statements, keyed by query shape. VectorHashAggregateNode asks it
+/// to serve its zero-key group before draining its scan; the states
+/// accumulate rows read through the scan's own column streams and
+/// merge and finalize through the same aggregate_state code as the
+/// node. A Serve() accumulates only the rows appended past each
+/// partition's watermark — O(delta) — then merges a *clone* of the
+/// stored partials in morsel-index order, so the result is
+/// bit-identical to a full rescan by the engine's merge-order contract
+/// (DESIGN.md section 13 gives the argument).
 ///
 /// Staleness: each entry captures every partition's mutation epoch at
 /// registration. Appends do not bump epochs (they only move num_rows
 /// past the watermark); Clear/SpillToDisk/LoadFromFile do. An epoch
 /// mismatch, a table-pointer change (DROP + CREATE), or a shrunken row
-/// space invalidates the entry — Probe drops it and the planner falls
-/// back to the normal columnar pipeline for that statement.
+/// space invalidates the entry — Probe drops it and the node runs
+/// without a view binding for that statement.
 ///
-/// Thread-safety: all public methods take one internal mutex; like the
-/// Database itself, one statement executes at a time, but invalidation
-/// hooks (DROP TABLE) and probes may interleave with online refresh
-/// loops that serialize externally.
+/// Thread-safety: all public methods take one internal mutex, held for
+/// the whole of a Serve: concurrent SELECTs share the database's
+/// statement gate, so two of them may serve the same view at once.
 class ViewRegistry {
  public:
   /// `max_views` bounds memoization: registering past the cap evicts
   /// the least-recently-served entry. `memory_limit_bytes` bounds the
   /// total bytes of stored partial state (0 = unlimited, tracked);
-  /// exceeding it fails the accumulate, which degrades that statement
-  /// to a plain rescan and drops the entry.
+  /// exceeding it fails the accumulate, which drops the entry and
+  /// degrades that statement to the node's own rescan.
   explicit ViewRegistry(size_t max_views = 16,
                         uint64_t memory_limit_bytes = 0);
 
@@ -87,9 +84,10 @@ class ViewRegistry {
   /// accumulate, one partial per grid morsel) when no entry exists,
   /// delta-accumulates rows past each partition watermark otherwise,
   /// then clones + merges the stored partials in morsel-index order.
-  /// On an accumulate failure other than cancellation /
-  /// deadline the entry is dropped and the statement degrades to a
-  /// registry-free full rescan — never a wrong result.
+  /// On any failure the entry is dropped and the status returned;
+  /// unless it is a cancellation or deadline, the caller degrades to
+  /// its own full rescan (counted as `view.rebuilds`) — never a wrong
+  /// result.
   StatusOr<GroupState> Serve(const ViewDescriptor& d, ThreadPool* pool,
                              const QueryContext* ctx);
 
@@ -116,7 +114,8 @@ class ViewRegistry {
   };
 
   /// Canonical map key of a descriptor (table name + slots + filter
-  /// conjuncts with literal bit patterns + aggregate specs).
+  /// conjuncts with literal bit patterns + aggregate specs + morsel
+  /// size).
   static std::string KeyOf(const ViewDescriptor& d);
 
   /// True when `e` may serve `d` against the current table state.
@@ -124,17 +123,8 @@ class ViewRegistry {
 
   /// Accumulates rows [wm, rows) of every partition into `e`'s
   /// partials, extending the tail morsel and appending new ones.
-  /// `use_failpoint` is off on the degrade-to-rescan path so a still-
-  /// armed view_maintenance failpoint cannot re-fire there.
   Status AccumulateDeltas(Entry* e, const ViewDescriptor& d, ThreadPool* pool,
                           const QueryContext* ctx, uint64_t* delta_rows);
-
-  /// Registry-free full rescan: fresh per-morsel partials accumulated
-  /// from scratch (no failpoint) and merged — the fallback
-  /// that keeps results correct when view maintenance fails.
-  StatusOr<GroupState> RescanWithoutView(const ViewDescriptor& d,
-                                           ThreadPool* pool,
-                                           const QueryContext* ctx);
 
   /// Clones `e`'s stored partials and folds them in morsel-index
   /// order.

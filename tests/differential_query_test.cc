@@ -384,7 +384,8 @@ void RunCase(Database* db, const TableConfig& cfg, const WhereVariant& where,
   NLQ_ASSERT_OK(row_plan.status());
   if (ViewsSmoke() && !SpillSmoke()) {
     // The execution above seeded the view; the plan now serves it.
-    EXPECT_NE(col_plan->find("MaintainedViewScan"), std::string::npos)
+    EXPECT_NE(col_plan->find("VectorHashAggregate (0 group key(s)"),
+              std::string::npos)
         << udf_sql << "\n"
         << *col_plan;
     EXPECT_NE(col_plan->find("view=fresh"), std::string::npos)
@@ -995,7 +996,9 @@ TEST(DifferentialQueryTest, ZeroKeyGroupMixMatchesInterpretedAcrossThreads) {
         // The run above seeded the view; now it serves, then refreshes
         // over an append.
         NLQ_ASSERT_OK_AND_ASSIGN(plan, db.Explain(kViewShape));
-        EXPECT_NE(plan.find("MaintainedViewScan"), std::string::npos) << plan;
+        EXPECT_NE(plan.find("VectorHashAggregate (0 group key(s)"),
+                  std::string::npos)
+            << plan;
         EXPECT_NE(plan.find("view=fresh delta=0"), std::string::npos) << plan;
       }
       NLQ_ASSERT_OK(db.ExecuteCommand(MixedRows(1000, 100)));

@@ -12,7 +12,10 @@
 //      not the whole table;
 //   3. safe degradation — staleness (Clear/spill/DROP), memory
 //      pressure, and eviction all fall back to a full rescan with the
-//      registry state dropped, never a wrong or missing result.
+//      registry state dropped, never a wrong or missing result;
+//   4. concurrent serves — SELECTs that serve and refresh one view at
+//      the same time through Database::Execute each return the
+//      rescan's bits.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -215,6 +219,15 @@ TEST(ViewMaintenanceTest, RefreshAfterAppendDoesDeltaWorkOnly) {
   EXPECT_LT(delta_stats.pages_decoded, seed_stats.pages_decoded / 4)
       << "refresh decoded " << delta_stats.pages_decoded << " of "
       << seed_stats.pages_decoded << " pages";
+  // The delta is read through the plan's ColumnarScan streams, so
+  // EXPLAIN ANALYZE counts it on that operator like any scan.
+  bool saw_scan = false;
+  for (const auto& op : delta_stats.operators) {
+    if (op.name != "ColumnarScan") continue;
+    saw_scan = true;
+    EXPECT_EQ(op.rows_out, kDelta);
+  }
+  EXPECT_TRUE(saw_scan);
 
   // A second refresh with nothing appended is pure merge: zero rows,
   // zero pages.
@@ -235,9 +248,14 @@ TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
   AppendRows(db.get(), 0, 500);
   const char* kSql = "SELECT nlq_list('triang', X1, X2) FROM T";
 
-  // Unregistered: the plan seeds.
+  // Unregistered: the plan seeds. A view-served aggregate plans the
+  // same zero-key VectorHashAggregate over a ColumnarScan as with views
+  // off; only its annotation says the view serves it.
   NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(kSql));
-  EXPECT_NE(plan.find("MaintainedViewScan"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("VectorHashAggregate (0 group key(s)"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("ColumnarScan"), std::string::npos) << plan;
   EXPECT_NE(plan.find("view=stale (seeding 500 row(s))"), std::string::npos)
       << plan;
 
@@ -260,8 +278,9 @@ TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
   EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos) << plan;
   EXPECT_NE(plan.find("ColumnarScan"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("view=stale"), std::string::npos) << plan;
-  EXPECT_EQ(plan.find("MaintainedViewScan"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("view=stale)"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("view=stale (seeding"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("view=fresh"), std::string::npos) << plan;
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
   EXPECT_NE(plan.find("view=stale (seeding"), std::string::npos) << plan;
 
@@ -363,7 +382,78 @@ TEST(ViewMaintenanceTest, ViewCapEvictsLeastRecentlyServed) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Views off by default
+// 5. Concurrent serves of one view
+// ---------------------------------------------------------------------------
+
+uint64_t CounterValue(const MetricsSnapshot& snapshot, const char* name) {
+  auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+TEST(ViewMaintenanceTest, ConcurrentServesOfOneViewMatchRescan) {
+  // Database::Execute runs SELECTs concurrently under the shared
+  // statement gate, so several statements serve — and refresh — the
+  // same view at once, while INSERT batches between rounds take the
+  // gate exclusively. Every served result must carry the bits of the
+  // views-off rescan at the same row count.
+  constexpr size_t kClients = 4;
+  constexpr size_t kServesPerClient = 3;
+  constexpr size_t kRounds = 4;
+  const char* kSql = "SELECT nlq_list('triang', X1, X2) FROM T";
+  auto vdb = MakeViewDb(/*partitions=*/4, /*threads=*/2, /*views=*/true);
+  auto pdb = MakeViewDb(/*partitions=*/4, /*threads=*/2, /*views=*/false);
+  CreateT(vdb.get());
+  CreateT(pdb.get());
+  const MetricsSnapshot before = Database::GetMetricsSnapshot();
+
+  size_t filled = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(StringPrintf("round=%zu", round));
+    // Bursts that leave tail morsels (256 rows) partly filled.
+    const size_t bound = filled + 333 + 100 * round;
+    AppendRows(vdb.get(), filled, bound);
+    AppendRows(pdb.get(), filled, bound);
+    filled = bound;
+    auto rescan = pdb->Execute(kSql);
+    NLQ_ASSERT_OK(rescan.status());
+    const std::string expected = ResultSignature(*rescan);
+
+    std::vector<Status> errors(kClients * kServesPerClient);
+    std::vector<std::string> sigs(kClients * kServesPerClient);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t k = 0; k < kServesPerClient; ++k) {
+          const size_t i = c * kServesPerClient + k;
+          auto served = vdb->Execute(kSql);
+          if (served.ok()) {
+            sigs[i] = ResultSignature(*served);
+          } else {
+            errors[i] = served.status();
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    for (size_t i = 0; i < sigs.size(); ++i) {
+      NLQ_EXPECT_OK(errors[i]);
+      EXPECT_EQ(sigs[i], expected) << "serve " << i;
+    }
+  }
+
+  // One entry served every statement: seeded once, a hit ever after.
+  EXPECT_EQ(vdb->view_registry()->num_views(), 1u);
+  const MetricsSnapshot after = Database::GetMetricsSnapshot();
+  EXPECT_EQ(CounterValue(after, "view.misses") -
+                CounterValue(before, "view.misses"),
+            1u);
+  EXPECT_EQ(CounterValue(after, "view.hits") -
+                CounterValue(before, "view.hits"),
+            kRounds * kClients * kServesPerClient - 1);
+}
+
+// ---------------------------------------------------------------------------
+// 6. Views off by default
 // ---------------------------------------------------------------------------
 
 TEST(ViewMaintenanceTest, DisabledByDefault) {
@@ -375,7 +465,9 @@ TEST(ViewMaintenanceTest, DisabledByDefault) {
   NLQ_ASSERT_OK_AND_ASSIGN(
       std::string plan, db->Explain("SELECT nlq_list('diag', X1) FROM T"));
   EXPECT_EQ(plan.find("view="), std::string::npos) << plan;
-  EXPECT_EQ(plan.find("MaintainedViewScan"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("VectorHashAggregate (0 group key(s)"),
+            std::string::npos)
+      << plan;
 }
 
 }  // namespace

@@ -5,11 +5,14 @@
 // final model stays bit-identical to a from-scratch rescan of the same
 // rows on a views-free database.
 //
-// Synchronization contract (the Database itself is NOT thread-safe):
-// writers append through PartitionedTable::AppendRowToPartition, each
-// owning one partition, under a shared lock — concurrent with each
-// other (different Table objects), excluded from statements; the
-// refresher takes the lock exclusively around each Database::Execute.
+// Synchronization contract: writers append through
+// PartitionedTable::AppendRowToPartition, each owning one partition,
+// under a shared lock — concurrent with each other (different Table
+// objects), excluded from statements; the refresher takes the lock
+// exclusively around each Database::Execute. The lock is needed because
+// these appends bypass Execute and its statement gate (Execute runs
+// SELECTs concurrently and an INSERT exclusively; view_maintenance_test
+// covers concurrent serves through it).
 // Scoring readers never touch the database: they decode the latest
 // published model snapshot under its own mutex. Run under TSan, this
 // is the race check for the whole append + view-refresh + scoring
