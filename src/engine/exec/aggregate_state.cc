@@ -170,16 +170,141 @@ StatusOr<std::vector<Row>> MergeAndFinalize(const BoundAggregation& agg,
   return rows;
 }
 
+namespace {
+
+/// Every row of the batch: no NULL lanes.
+struct AllRows {
+  bool operator()(size_t) const { return true; }
+};
+
+/// Rows NULL in neither bitmap (a null bitmap pointer has no NULLs).
+struct NonNullRows {
+  const uint64_t* a;
+  const uint64_t* b;
+  bool operator()(size_t r) const {
+    return !(a != nullptr && NullBitGet(a, r)) &&
+           !(b != nullptr && NullBitGet(b, r));
+  }
+};
+
+/// Calls `fn(x, valid)` with a builtin output's lanes read as doubles
+/// (`x(r)`: a DOUBLE lane, a widened BIGINT lane, or the product of
+/// two DOUBLE lanes) and the rows it is non-NULL on.
+template <typename Fn>
+void WithLanes(const ProgramOutput& out, const ExprVM& vm, const Fn& fn) {
+  const ExprVM::Reg& a = vm.reg(out.reg);
+  const ExprVM::Reg* b = out.product ? &vm.reg(out.factor) : nullptr;
+  const uint64_t* na = a.has_nulls ? a.nulls : nullptr;
+  const uint64_t* nb = b != nullptr && b->has_nulls ? b->nulls : nullptr;
+  auto dispatch = [&](const auto& x) {
+    if (na == nullptr && nb == nullptr) {
+      fn(x, AllRows{});
+    } else {
+      fn(x, NonNullRows{na, nb});
+    }
+  };
+  if (b != nullptr) {
+    const double* ad = a.d;
+    const double* bd = b->d;
+    dispatch([ad, bd](size_t r) { return ad[r] * bd[r]; });
+  } else if (out.type == DataType::kDouble) {
+    const double* ad = a.d;
+    dispatch([ad](size_t r) { return ad[r]; });
+  } else {
+    const int64_t* ai = a.i;
+    dispatch([ai](size_t r) { return static_cast<double>(ai[r]); });
+  }
+}
+
+/// One output's ROW loop with the kind a template constant, so
+/// AccumulateBuiltin's switch folds away; `state(r)` is row r's state.
+template <AggregateSpec::Kind K, typename X, typename Valid, typename State>
+void FoldRows(size_t n, const X& x, const Valid& valid, const State& state) {
+  for (size_t r = 0; r < n; ++r) {
+    if (valid(r)) AccumulateBuiltin(K, x(r), state(r));
+  }
+}
+
+template <typename X, typename Valid, typename State>
+void FoldKind(AggregateSpec::Kind kind, size_t n, const X& x,
+              const Valid& valid, const State& state) {
+  switch (kind) {
+    case AggregateSpec::Kind::kSum:
+    case AggregateSpec::Kind::kAvg:
+      FoldRows<AggregateSpec::Kind::kSum>(n, x, valid, state);
+      break;
+    case AggregateSpec::Kind::kCount:
+      FoldRows<AggregateSpec::Kind::kCount>(n, x, valid, state);
+      break;
+    case AggregateSpec::Kind::kMin:
+      FoldRows<AggregateSpec::Kind::kMin>(n, x, valid, state);
+      break;
+    case AggregateSpec::Kind::kMax:
+      FoldRows<AggregateSpec::Kind::kMax>(n, x, valid, state);
+      break;
+    default:
+      break;
+  }
+}
+
+/// One pass over `n` rows for the sizeof...(k) dense SUMs at `sums`:
+/// independent accumulators the core can overlap, each adding its
+/// lanes in row order exactly as AccumulateBuiltin would.
+template <bool kProduct, typename Sum, size_t... k>
+void SumChains(const Sum* sums, size_t n, std::index_sequence<k...>) {
+  double acc[] = {sums[k].state->sum...};
+  const double* a[] = {sums[k].a...};
+  const double* b[] = {sums[k].b...};
+  for (size_t r = 0; r < n; ++r) {
+    ((acc[k] += kProduct ? a[k][r] * b[k][r] : a[k][r]), ...);
+  }
+  for (size_t j = 0; j < sizeof...(k); ++j) {
+    BuiltinAggState* s = sums[j].state;
+    s->sum = acc[j];
+    s->count += static_cast<int64_t>(n);
+    if (n > 0) s->seen = true;
+  }
+}
+
+}  // namespace
+
+template <bool kProduct>
+void SpanAccumulator::FoldDense(const std::vector<DenseSum>& sums, size_t n) {
+  size_t k = 0;
+  for (; k + 4 <= sums.size(); k += 4) {
+    SumChains<kProduct>(&sums[k], n, std::make_index_sequence<4>{});
+  }
+  switch (sums.size() - k) {
+    case 3:
+      SumChains<kProduct>(&sums[k], n, std::make_index_sequence<3>{});
+      break;
+    case 2:
+      SumChains<kProduct>(&sums[k], n, std::make_index_sequence<2>{});
+      break;
+    case 1:
+      SumChains<kProduct>(&sums[k], n, std::make_index_sequence<1>{});
+      break;
+    default:
+      break;
+  }
+}
+
 SpanAccumulator::SpanAccumulator(const std::vector<AggregateSpec>& specs,
                                  const std::vector<VectorAggSpec>& args,
+                                 const CompiledExpr* builtins,
                                  const std::vector<int>& slot_to_col,
                                  const QueryContext* ctx)
     : specs_(specs),
       args_(args),
+      builtins_(builtins),
       slot_to_col_(slot_to_col),
       vm_(ctx),
       const_args_(specs.size()) {
+  if (builtins_ != nullptr) output_spec_.resize(builtins_->outputs().size());
   for (size_t i = 0; i < specs.size(); ++i) {
+    for (const VectorAggArg& arg : args[i].args) {
+      if (arg.output >= 0) output_spec_[arg.output] = i;
+    }
     if (!args[i].on_spans) continue;
     for (const VectorAggArg& arg : args[i].args) {
       if (!arg.is_constant) break;
@@ -203,65 +328,77 @@ Status SpanAccumulator::Accumulate(const ColumnSpanBatch& batch,
       }
       continue;
     }
-    if (spec.kind == AggregateSpec::Kind::kUdf) {
-      if (group != nullptr && args_[i].on_spans) {
-        NLQ_RETURN_IF_ERROR(
-            AccumulateUdfSpans(i, batch, group->udf_states[i]));
-        continue;
-      }
-      // Copy every non-constant argument's result out of the VM so
-      // all argument lanes coexist for the per-row assembly.
-      arg_regs_.resize(args.size());
-      for (size_t a = 0; a < args.size(); ++a) {
-        if (args[a].is_constant) continue;
-        NLQ_RETURN_IF_ERROR(
-            vm_.EvalSpans(*args[a].prog, batch, slot_to_col_, n));
-        vm_.CopyResult(*args[a].prog, n, &arg_regs_[a]);
-      }
-      row_args_.resize(args.size());
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t a = 0; a < args.size(); ++a) {
-          row_args_[a] = args[a].is_constant
-                             ? args[a].constant
-                             : BoxRegValue(arg_regs_[a],
-                                           args[a].prog->result_type(), r);
-        }
-        NLQ_FAILPOINT("udf_accumulate");
-        GroupState* g = group != nullptr ? group : group_of[r];
-        NLQ_RETURN_IF_ERROR(spec.udaf->Accumulate(g->udf_states[i], row_args_));
-      }
+    if (spec.kind != AggregateSpec::Kind::kUdf) continue;  // see builtins_
+    if (group != nullptr && args_[i].on_spans) {
+      NLQ_RETURN_IF_ERROR(AccumulateUdfSpans(i, batch, group->udf_states[i]));
       continue;
     }
-    // SQL builtin: accumulate straight off the argument's span or its
-    // program's result register, skipping NULL lanes like the
-    // interpreter.
-    const VectorAggArg& arg = args[0];
-    const double* dv = nullptr;
-    const int64_t* iv = nullptr;
-    const uint64_t* nb = nullptr;
-    if (arg.col >= 0) {
-      dv = batch.doubles[arg.col];
-      iv = batch.ints[arg.col];
-      nb = batch.null_bits[arg.col];
-    } else {
-      NLQ_RETURN_IF_ERROR(vm_.EvalSpans(*arg.prog, batch, slot_to_col_, n));
-      const ExprVM::Reg& res = vm_.result(*arg.prog);
-      if (arg.prog->result_type() == DataType::kDouble) {
-        dv = res.d.data();
-      } else {
-        iv = res.i.data();
-      }
-      if (res.has_nulls) nb = res.nulls.data();
+    // Copy every non-constant argument's result out of the VM so all
+    // argument lanes coexist for the per-row assembly.
+    arg_regs_.resize(args.size());
+    for (size_t a = 0; a < args.size(); ++a) {
+      if (args[a].is_constant) continue;
+      NLQ_RETURN_IF_ERROR(vm_.EvalSpans(*args[a].prog, batch, slot_to_col_, n));
+      vm_.CopyResult(*args[a].prog, n, &arg_regs_[a]);
     }
+    row_args_.resize(args.size());
     for (size_t r = 0; r < n; ++r) {
-      if (nb != nullptr && NullBitGet(nb, r)) continue;
-      const double x = dv != nullptr ? dv[r] : static_cast<double>(iv[r]);
-      AccumulateBuiltin(spec.kind, x,
-                        group != nullptr ? &group->builtin[i]
-                                         : &group_of[r]->builtin[i]);
+      for (size_t a = 0; a < args.size(); ++a) {
+        row_args_[a] = args[a].is_constant
+                           ? args[a].constant
+                           : BoxRegValue(arg_regs_[a],
+                                         args[a].prog->result_type(), r);
+      }
+      NLQ_FAILPOINT("udf_accumulate");
+      GroupState* g = group != nullptr ? group : group_of[r];
+      NLQ_RETURN_IF_ERROR(spec.udaf->Accumulate(g->udf_states[i], row_args_));
     }
   }
-  return Status::OK();
+  if (builtins_ == nullptr) return Status::OK();
+  return vm_.EvalOutputs(*builtins_, batch, slot_to_col_, n,
+                         [&](size_t begin, size_t end) {
+                           FoldOutputs(begin, end, n, group, group_of);
+                         });
+}
+
+void SpanAccumulator::FoldOutputs(size_t begin, size_t end, size_t n,
+                                  GroupState* group,
+                                  GroupState* const* group_of) {
+  const std::vector<ProgramOutput>& outputs = builtins_->outputs();
+  dense_sums_.clear();
+  dense_products_.clear();
+  for (size_t k = begin; k < end; ++k) {
+    const ProgramOutput& out = outputs[k];
+    const size_t i = output_spec_[out.root];
+    const AggregateSpec::Kind kind = specs_[i].kind;
+    if (group == nullptr) {
+      WithLanes(out, vm_, [&](const auto& x, const auto& valid) {
+        FoldKind(kind, n, x, valid, [group_of, i](size_t r) {
+          return &group_of[r]->builtin[i];
+        });
+      });
+      continue;
+    }
+    // Zero-key group: the state is loaded once and stored once.
+    BuiltinAggState* state = &group->builtin[i];
+    const ExprVM::Reg& a = vm_.reg(out.reg);
+    const ExprVM::Reg* b = out.product ? &vm_.reg(out.factor) : nullptr;
+    if ((kind == AggregateSpec::Kind::kSum ||
+         kind == AggregateSpec::Kind::kAvg) &&
+        out.type == DataType::kDouble && !a.has_nulls &&
+        (b == nullptr || !b->has_nulls)) {
+      (b != nullptr ? dense_products_ : dense_sums_)
+          .push_back({a.d, b != nullptr ? b->d : nullptr, state});
+      continue;
+    }
+    BuiltinAggState local = *state;
+    WithLanes(out, vm_, [&](const auto& x, const auto& valid) {
+      FoldKind(kind, n, x, valid, [&local](size_t) { return &local; });
+    });
+    *state = local;
+  }
+  FoldDense<false>(dense_sums_, n);
+  FoldDense<true>(dense_products_, n);
 }
 
 Status SpanAccumulator::AccumulateUdfSpans(size_t i, const ColumnSpanBatch& in,

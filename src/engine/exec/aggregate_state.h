@@ -96,20 +96,23 @@ using GroupMap =
 /// VARCHAR configuration literals, which must not require
 /// compilation), or an expression over the input. `col` is the
 /// argument's span column when it is a bare non-VARCHAR column
-/// reference (-1 otherwise); the ROW loops that read such an argument
-/// straight off the span (builtins, `on_spans` UDF calls) need no
-/// program, so `prog` is compiled only for the loops that evaluate it.
+/// reference (-1 otherwise). A SQL builtin's argument is `output`, its
+/// root in the node's one builtin-argument program. An aggregate UDF
+/// argument that a ROW loop evaluates per row (grouped and non-span
+/// calls) has its own `prog`; `on_spans` calls read their columns off
+/// the spans and need none.
 struct VectorAggArg {
   bool is_constant = false;  // `constant` applies
   storage::Datum constant;
   int col = -1;
-  CompiledExprPtr prog;  // null for constants and span-read columns
+  int output = -1;       // builtin argument: root in the builtin program
+  CompiledExprPtr prog;  // per-row aggregate UDF argument, else null
 };
 
 /// Per-AggregateSpec span arguments, parallel to BoundAggregation::specs.
-/// COUNT(*) has none; SQL builtins have exactly one program. `on_spans`
-/// marks a zero-key aggregate UDF call whose non-constant arguments are
-/// all bare columns: its ROW phase hands the columns to
+/// COUNT(*) has none; SQL builtins have exactly one. `on_spans` marks a
+/// zero-key aggregate UDF call whose non-constant arguments are all
+/// bare columns: its ROW phase hands the columns to
 /// AggregateUdf::AccumulateSpans instead of calling Accumulate per row.
 struct VectorAggSpec {
   std::vector<VectorAggArg> args;
@@ -166,12 +169,23 @@ StatusOr<std::vector<storage::Row>> MergeAndFinalize(
 /// ROW phase over span batches, shared by VectorHashAggregateNode and
 /// the maintained-view registry. One instance per stream: it owns the
 /// bytecode VM and the buffers reused across batches.
+///
+/// Every SQL builtin argument is an output of one program (`builtins`,
+/// CompileOutputs over the arguments in spec order), evaluated once per
+/// batch: each column it reads is loaded once, in place. Each output
+/// is folded by a typed loop as soon as the program completes it, with
+/// the aggregate kind fixed outside the row loop; dense SUMs fold four
+/// at a time as independent chains. Every state still adds its values
+/// in row order, one at a time, so results match AccumulateBuiltin's
+/// per-row rule bit for bit.
 class SpanAccumulator {
  public:
-  /// `slot_to_col` maps the argument programs' input slots to span
-  /// columns; all three vectors must outlive the accumulator.
+  /// `slot_to_col` maps the programs' input slots to span columns;
+  /// `builtins` is null when the aggregate has no SQL builtin with an
+  /// argument. All of them must outlive the accumulator.
   SpanAccumulator(const std::vector<AggregateSpec>& specs,
                   const std::vector<VectorAggSpec>& args,
+                  const CompiledExpr* builtins,
                   const std::vector<int>& slot_to_col,
                   const QueryContext* ctx);
 
@@ -196,10 +210,28 @@ class SpanAccumulator {
   /// Accumulate does before its own NULL check.
   Status AccumulateUdfSpans(size_t i, const ColumnSpanBatch& in, void* state);
 
+  /// Folds builtin outputs [begin, end) of `builtins_` over `n` rows.
+  void FoldOutputs(size_t begin, size_t end, size_t n, GroupState* group,
+                   GroupState* const* group_of);
+
+  /// A dense SUM output of the zero-key group: lanes `a` (times `b`
+  /// for a product) with no NULLs, folded into `state`.
+  struct DenseSum {
+    const double* a;
+    const double* b;
+    BuiltinAggState* state;
+  };
+
+  /// Folds dense SUMs four at a time, each as its own row-order chain.
+  template <bool kProduct>
+  static void FoldDense(const std::vector<DenseSum>& sums, size_t n);
+
   const std::vector<AggregateSpec>& specs_;
   const std::vector<VectorAggSpec>& args_;
+  const CompiledExpr* builtins_;
   const std::vector<int>& slot_to_col_;
   ExprVM vm_;
+  std::vector<size_t> output_spec_;  // builtin program root -> spec
   // Per spec: the leading constants of an `on_spans` call.
   std::vector<std::vector<storage::Datum>> const_args_;
   std::vector<ExprVM::Reg> arg_regs_;
@@ -207,6 +239,8 @@ class SpanAccumulator {
   std::vector<std::vector<double>> span_bufs_;
   std::vector<const double*> spans_;
   std::vector<uint8_t> keep_;
+  std::vector<DenseSum> dense_sums_;
+  std::vector<DenseSum> dense_products_;
 };
 
 }  // namespace nlq::engine::exec

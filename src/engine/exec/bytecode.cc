@@ -23,69 +23,89 @@ using storage::NullBitSet;
 
 namespace {
 
-bool AnyBitSet(const std::vector<uint64_t>& words) {
-  for (uint64_t w : words) {
-    if (w != 0) return true;
+bool AnyBitSet(const uint64_t* words, size_t count) {
+  for (size_t w = 0; w < count; ++w) {
+    if (words[w] != 0) return true;
   }
   return false;
 }
 
+/// Points `r` at its own buffers, sized for `n` lanes of type `t`, with
+/// no NULLs.
+void Prep(ExprVM::Reg& r, DataType t, size_t n) {
+  if (t == DataType::kDouble) {
+    r.own_d.resize(n);
+    r.d = r.own_d.data();
+  } else {
+    r.own_i.resize(n);
+    r.i = r.own_i.data();
+  }
+  r.own_nulls.assign(NullBitmapWords(n), 0);
+  r.nulls = r.own_nulls.data();
+  r.has_nulls = false;
+}
+
 /// Runs `prog` over `n` rows. `load` fills the destination register of
 /// each kLoadCol instruction (the only input-dependent opcode), so the
-/// row-gather and span-copy entry points share every operator loop —
-/// and therefore produce bit-identical results by construction.
-template <typename Loader>
+/// row-gather and span entry points share every operator loop — and
+/// therefore produce bit-identical results by construction. After each
+/// instruction, `sink(begin, end)` receives the outputs it completed.
+template <typename Loader, typename Sink>
 Status RunProgram(const CompiledExpr& prog, size_t n,
                   std::vector<ExprVM::Reg>* regs,
                   std::vector<udf::ArgSpan>* call_args,
-                  const QueryContext* ctx, Loader load) {
+                  const QueryContext* ctx, Loader load, Sink sink) {
   if (regs->size() < prog.num_regs()) regs->resize(prog.num_regs());
   const size_t words = NullBitmapWords(n);
 
-  auto prep = [&](ExprVM::Reg& r, DataType t) {
-    if (t == DataType::kDouble) {
-      r.d.resize(n);
-    } else {
-      r.i.resize(n);
-    }
-    r.nulls.assign(words, 0);
-    r.has_nulls = false;
-  };
+  auto prep = [&](ExprVM::Reg& r, DataType t) { Prep(r, t, n); };
   auto copy_nulls = [&](ExprVM::Reg& dst, const ExprVM::Reg& a) {
     if (!a.has_nulls) return;
-    dst.nulls = a.nulls;
+    std::memcpy(dst.own_nulls.data(), a.nulls, words * sizeof(uint64_t));
     dst.has_nulls = true;
   };
   auto union_nulls = [&](ExprVM::Reg& dst, const ExprVM::Reg& a,
                          const ExprVM::Reg& b) {
     if (!a.has_nulls && !b.has_nulls) return;
     for (size_t w = 0; w < words; ++w) {
-      dst.nulls[w] = a.nulls[w] | b.nulls[w];
+      dst.own_nulls[w] =
+          (a.has_nulls ? a.nulls[w] : 0) | (b.has_nulls ? b.nulls[w] : 0);
     }
     dst.has_nulls = true;
   };
+  auto set_null = [](ExprVM::Reg& dst, size_t r) {
+    NullBitSet(dst.own_nulls.data(), r);
+    dst.has_nulls = true;
+  };
+  auto is_null = [](const ExprVM::Reg& a, size_t r) {
+    return a.has_nulls && NullBitGet(a.nulls, r);
+  };
 
-  for (const Instr& ins : prog.instructions()) {
+  const std::vector<ProgramOutput>& outputs = prog.outputs();
+  size_t next_output = 0;
+  const std::vector<Instr>& instrs = prog.instructions();
+  for (size_t pc = 0; pc < instrs.size(); ++pc) {
+    const Instr& ins = instrs[pc];
     ExprVM::Reg& dst = (*regs)[ins.dst];
-    // Registers are SSA (one def each), so operand aliasing with dst
-    // cannot occur and every loop may write dst freely.
+    // Register allocation never hands an instruction one of its own
+    // operands as destination, so every loop may write dst freely.
     switch (ins.op) {
       case OpCode::kLoadCol: {
-        prep(dst, ins.type);
         load(ins, &dst);
         break;
       }
       case OpCode::kLoadConst: {
         prep(dst, ins.type);
         if (ins.const_null) {
-          dst.nulls.assign(words, ~uint64_t{0});
+          dst.own_nulls.assign(words, ~uint64_t{0});
+          dst.nulls = dst.own_nulls.data();
           dst.has_nulls = true;
         }
         if (ins.type == DataType::kDouble) {
-          std::fill(dst.d.begin(), dst.d.end(),
+          std::fill(dst.own_d.begin(), dst.own_d.end(),
                     ins.const_null ? 0.0 : ins.const_d);
         } else {
-          std::fill(dst.i.begin(), dst.i.end(),
+          std::fill(dst.own_i.begin(), dst.own_i.end(),
                     ins.const_null ? int64_t{0} : ins.const_i);
         }
         break;
@@ -94,7 +114,7 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         const ExprVM::Reg& a = (*regs)[ins.a];
         prep(dst, DataType::kDouble);
         for (size_t r = 0; r < n; ++r) {
-          dst.d[r] = static_cast<double>(a.i[r]);
+          dst.own_d[r] = static_cast<double>(a.i[r]);
         }
         copy_nulls(dst, a);
         break;
@@ -102,35 +122,35 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
       case OpCode::kTruthD: {
         const ExprVM::Reg& a = (*regs)[ins.a];
         prep(dst, DataType::kInt64);
-        for (size_t r = 0; r < n; ++r) dst.i[r] = a.d[r] != 0.0 ? 1 : 0;
+        for (size_t r = 0; r < n; ++r) dst.own_i[r] = a.d[r] != 0.0 ? 1 : 0;
         copy_nulls(dst, a);
         break;
       }
       case OpCode::kTruthI: {
         const ExprVM::Reg& a = (*regs)[ins.a];
         prep(dst, DataType::kInt64);
-        for (size_t r = 0; r < n; ++r) dst.i[r] = a.i[r] != 0 ? 1 : 0;
+        for (size_t r = 0; r < n; ++r) dst.own_i[r] = a.i[r] != 0 ? 1 : 0;
         copy_nulls(dst, a);
         break;
       }
       case OpCode::kNegI: {
         const ExprVM::Reg& a = (*regs)[ins.a];
         prep(dst, DataType::kInt64);
-        for (size_t r = 0; r < n; ++r) dst.i[r] = -a.i[r];
+        for (size_t r = 0; r < n; ++r) dst.own_i[r] = -a.i[r];
         copy_nulls(dst, a);
         break;
       }
       case OpCode::kNegD: {
         const ExprVM::Reg& a = (*regs)[ins.a];
         prep(dst, DataType::kDouble);
-        for (size_t r = 0; r < n; ++r) dst.d[r] = -a.d[r];
+        for (size_t r = 0; r < n; ++r) dst.own_d[r] = -a.d[r];
         copy_nulls(dst, a);
         break;
       }
       case OpCode::kNot: {
         const ExprVM::Reg& a = (*regs)[ins.a];
         prep(dst, DataType::kInt64);
-        for (size_t r = 0; r < n; ++r) dst.i[r] = a.i[r] == 0 ? 1 : 0;
+        for (size_t r = 0; r < n; ++r) dst.own_i[r] = a.i[r] == 0 ? 1 : 0;
         copy_nulls(dst, a);
         break;
       }
@@ -140,12 +160,13 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         const ExprVM::Reg& a = (*regs)[ins.a];
         const ExprVM::Reg& b = (*regs)[ins.b];
         prep(dst, DataType::kInt64);
+        int64_t* out = dst.own_i.data();
         if (ins.op == OpCode::kAddI) {
-          for (size_t r = 0; r < n; ++r) dst.i[r] = a.i[r] + b.i[r];
+          for (size_t r = 0; r < n; ++r) out[r] = a.i[r] + b.i[r];
         } else if (ins.op == OpCode::kSubI) {
-          for (size_t r = 0; r < n; ++r) dst.i[r] = a.i[r] - b.i[r];
+          for (size_t r = 0; r < n; ++r) out[r] = a.i[r] - b.i[r];
         } else {
-          for (size_t r = 0; r < n; ++r) dst.i[r] = a.i[r] * b.i[r];
+          for (size_t r = 0; r < n; ++r) out[r] = a.i[r] * b.i[r];
         }
         union_nulls(dst, a, b);
         break;
@@ -157,11 +178,10 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         union_nulls(dst, a, b);
         for (size_t r = 0; r < n; ++r) {
           if (b.i[r] == 0) {
-            dst.i[r] = 0;
-            NullBitSet(dst.nulls.data(), r);
-            dst.has_nulls = true;
+            dst.own_i[r] = 0;
+            set_null(dst, r);
           } else {
-            dst.i[r] = a.i[r] % b.i[r];
+            dst.own_i[r] = a.i[r] % b.i[r];
           }
         }
         break;
@@ -172,12 +192,13 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         const ExprVM::Reg& a = (*regs)[ins.a];
         const ExprVM::Reg& b = (*regs)[ins.b];
         prep(dst, DataType::kDouble);
+        double* out = dst.own_d.data();
         if (ins.op == OpCode::kAddD) {
-          for (size_t r = 0; r < n; ++r) dst.d[r] = a.d[r] + b.d[r];
+          for (size_t r = 0; r < n; ++r) out[r] = a.d[r] + b.d[r];
         } else if (ins.op == OpCode::kSubD) {
-          for (size_t r = 0; r < n; ++r) dst.d[r] = a.d[r] - b.d[r];
+          for (size_t r = 0; r < n; ++r) out[r] = a.d[r] - b.d[r];
         } else {
-          for (size_t r = 0; r < n; ++r) dst.d[r] = a.d[r] * b.d[r];
+          for (size_t r = 0; r < n; ++r) out[r] = a.d[r] * b.d[r];
         }
         union_nulls(dst, a, b);
         break;
@@ -189,11 +210,10 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         union_nulls(dst, a, b);
         for (size_t r = 0; r < n; ++r) {
           if (b.d[r] == 0.0) {
-            dst.d[r] = 0.0;
-            NullBitSet(dst.nulls.data(), r);
-            dst.has_nulls = true;
+            dst.own_d[r] = 0.0;
+            set_null(dst, r);
           } else {
-            dst.d[r] = a.d[r] / b.d[r];
+            dst.own_d[r] = a.d[r] / b.d[r];
           }
         }
         break;
@@ -206,11 +226,10 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         union_nulls(dst, a, b);
         for (size_t r = 0; r < n; ++r) {
           if (b.d[r] == 0.0) {
-            dst.d[r] = 0.0;
-            NullBitSet(dst.nulls.data(), r);
-            dst.has_nulls = true;
+            dst.own_d[r] = 0.0;
+            set_null(dst, r);
           } else {
-            dst.d[r] = std::fmod(a.d[r], b.d[r]);
+            dst.own_d[r] = std::fmod(a.d[r], b.d[r]);
           }
         }
         break;
@@ -239,7 +258,7 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
             case OpCode::kCmpGt: pass = cmp > 0; break;
             default: pass = cmp >= 0; break;
           }
-          dst.i[r] = pass ? 1 : 0;
+          dst.own_i[r] = pass ? 1 : 0;
         }
         union_nulls(dst, a, b);
         break;
@@ -252,34 +271,32 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         const bool is_and = ins.op == OpCode::kAnd;
         if (!a.has_nulls && !b.has_nulls) {
           for (size_t r = 0; r < n; ++r) {
-            dst.i[r] = is_and ? (a.i[r] & b.i[r]) : (a.i[r] | b.i[r]);
+            dst.own_i[r] = is_and ? (a.i[r] & b.i[r]) : (a.i[r] | b.i[r]);
           }
           break;
         }
         for (size_t r = 0; r < n; ++r) {
-          const bool an = a.has_nulls && NullBitGet(a.nulls.data(), r);
-          const bool bn = b.has_nulls && NullBitGet(b.nulls.data(), r);
+          const bool an = is_null(a, r);
+          const bool bn = is_null(b, r);
           const bool at = !an && a.i[r] != 0;
           const bool bt = !bn && b.i[r] != 0;
           if (is_and) {
             if ((!an && !at) || (!bn && !bt)) {
-              dst.i[r] = 0;  // a definite FALSE dominates
+              dst.own_i[r] = 0;  // a definite FALSE dominates
             } else if (an || bn) {
-              dst.i[r] = 0;
-              NullBitSet(dst.nulls.data(), r);
-              dst.has_nulls = true;
+              dst.own_i[r] = 0;
+              set_null(dst, r);
             } else {
-              dst.i[r] = 1;
+              dst.own_i[r] = 1;
             }
           } else {
             if (at || bt) {
-              dst.i[r] = 1;  // a definite TRUE dominates
+              dst.own_i[r] = 1;  // a definite TRUE dominates
             } else if (an || bn) {
-              dst.i[r] = 0;
-              NullBitSet(dst.nulls.data(), r);
-              dst.has_nulls = true;
+              dst.own_i[r] = 0;
+              set_null(dst, r);
             } else {
-              dst.i[r] = 0;
+              dst.own_i[r] = 0;
             }
           }
         }
@@ -291,8 +308,7 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         prep(dst, DataType::kInt64);
         const bool want_null = ins.op == OpCode::kIsNull;
         for (size_t r = 0; r < n; ++r) {
-          const bool is_null = a.has_nulls && NullBitGet(a.nulls.data(), r);
-          dst.i[r] = is_null == want_null ? 1 : 0;
+          dst.own_i[r] = is_null(a, r) == want_null ? 1 : 0;
         }
         break;
       }
@@ -302,11 +318,10 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         copy_nulls(dst, a);
         for (size_t r = 0; r < n; ++r) {
           if (a.d[r] < 0.0) {
-            dst.d[r] = 0.0;
-            NullBitSet(dst.nulls.data(), r);
-            dst.has_nulls = true;
+            dst.own_d[r] = 0.0;
+            set_null(dst, r);
           } else {
-            dst.d[r] = std::sqrt(a.d[r]);
+            dst.own_d[r] = std::sqrt(a.d[r]);
           }
         }
         break;
@@ -317,11 +332,10 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         copy_nulls(dst, a);
         for (size_t r = 0; r < n; ++r) {
           if (a.d[r] <= 0.0) {
-            dst.d[r] = 0.0;
-            NullBitSet(dst.nulls.data(), r);
-            dst.has_nulls = true;
+            dst.own_d[r] = 0.0;
+            set_null(dst, r);
           } else {
-            dst.d[r] = std::log(a.d[r]);
+            dst.own_d[r] = std::log(a.d[r]);
           }
         }
         break;
@@ -334,21 +348,22 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         const ExprVM::Reg& a = (*regs)[ins.a];
         prep(dst, DataType::kDouble);
         copy_nulls(dst, a);
+        double* out = dst.own_d.data();
         switch (ins.op) {
           case OpCode::kAbs:
-            for (size_t r = 0; r < n; ++r) dst.d[r] = std::fabs(a.d[r]);
+            for (size_t r = 0; r < n; ++r) out[r] = std::fabs(a.d[r]);
             break;
           case OpCode::kExp:
-            for (size_t r = 0; r < n; ++r) dst.d[r] = std::exp(a.d[r]);
+            for (size_t r = 0; r < n; ++r) out[r] = std::exp(a.d[r]);
             break;
           case OpCode::kFloor:
-            for (size_t r = 0; r < n; ++r) dst.d[r] = std::floor(a.d[r]);
+            for (size_t r = 0; r < n; ++r) out[r] = std::floor(a.d[r]);
             break;
           case OpCode::kCeil:
-            for (size_t r = 0; r < n; ++r) dst.d[r] = std::ceil(a.d[r]);
+            for (size_t r = 0; r < n; ++r) out[r] = std::ceil(a.d[r]);
             break;
           default:
-            for (size_t r = 0; r < n; ++r) dst.d[r] = std::round(a.d[r]);
+            for (size_t r = 0; r < n; ++r) out[r] = std::round(a.d[r]);
             break;
         }
         break;
@@ -358,7 +373,9 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         const ExprVM::Reg& b = (*regs)[ins.b];
         prep(dst, DataType::kDouble);
         union_nulls(dst, a, b);
-        for (size_t r = 0; r < n; ++r) dst.d[r] = std::pow(a.d[r], b.d[r]);
+        for (size_t r = 0; r < n; ++r) {
+          dst.own_d[r] = std::pow(a.d[r], b.d[r]);
+        }
         break;
       }
       case OpCode::kLeast:
@@ -372,11 +389,11 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         // strict win, so NaN ties resolve identically.
         if (ins.op == OpCode::kLeast) {
           for (size_t r = 0; r < n; ++r) {
-            dst.d[r] = b.d[r] < a.d[r] ? b.d[r] : a.d[r];
+            dst.own_d[r] = b.d[r] < a.d[r] ? b.d[r] : a.d[r];
           }
         } else {
           for (size_t r = 0; r < n; ++r) {
-            dst.d[r] = b.d[r] > a.d[r] ? b.d[r] : a.d[r];
+            dst.own_d[r] = b.d[r] > a.d[r] ? b.d[r] : a.d[r];
           }
         }
         break;
@@ -386,17 +403,14 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         const ExprVM::Reg& b = (*regs)[ins.b];
         prep(dst, ins.type);
         for (size_t r = 0; r < n; ++r) {
-          const bool an = a.has_nulls && NullBitGet(a.nulls.data(), r);
+          const bool an = is_null(a, r);
           const ExprVM::Reg& src = an ? b : a;
           if (ins.type == DataType::kDouble) {
-            dst.d[r] = src.d[r];
+            dst.own_d[r] = src.d[r];
           } else {
-            dst.i[r] = src.i[r];
+            dst.own_i[r] = src.i[r];
           }
-          if (an && b.has_nulls && NullBitGet(b.nulls.data(), r)) {
-            NullBitSet(dst.nulls.data(), r);
-            dst.has_nulls = true;
-          }
+          if (an && is_null(b, r)) set_null(dst, r);
         }
         break;
       }
@@ -406,19 +420,14 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
         const ExprVM::Reg& c = (*regs)[ins.c];
         prep(dst, ins.type);
         for (size_t r = 0; r < n; ++r) {
-          const bool taken =
-              !(cond.has_nulls && NullBitGet(cond.nulls.data(), r)) &&
-              cond.i[r] != 0;
+          const bool taken = !is_null(cond, r) && cond.i[r] != 0;
           const ExprVM::Reg& src = taken ? b : c;
           if (ins.type == DataType::kDouble) {
-            dst.d[r] = src.d[r];
+            dst.own_d[r] = src.d[r];
           } else {
-            dst.i[r] = src.i[r];
+            dst.own_i[r] = src.i[r];
           }
-          if (src.has_nulls && NullBitGet(src.nulls.data(), r)) {
-            NullBitSet(dst.nulls.data(), r);
-            dst.has_nulls = true;
-          }
+          if (is_null(src, r)) set_null(dst, r);
         }
         break;
       }
@@ -430,22 +439,43 @@ Status RunProgram(const CompiledExpr& prog, size_t n,
           const ExprVM::Reg& a = (*regs)[call.args[k]];
           udf::ArgSpan& span = (*call_args)[k];
           span.type = call.arg_types[k];
-          span.d = a.d.data();
-          span.i = a.i.data();
-          span.nulls = a.has_nulls ? a.nulls.data() : nullptr;
+          span.d = a.d;
+          span.i = a.i;
+          span.nulls = a.has_nulls ? a.nulls : nullptr;
         }
         udf::ResultSpan result;
-        result.d = dst.d.data();
-        result.i = dst.i.data();
-        result.nulls = dst.nulls.data();
+        result.d = dst.own_d.data();
+        result.i = dst.own_i.data();
+        result.nulls = dst.own_nulls.data();
         NLQ_RETURN_IF_ERROR(call.udf->InvokeSpans(
             call_args->data(), call_args->size(), n, ctx, &result));
         dst.has_nulls = result.has_nulls;
         break;
       }
     }
+    const size_t begin = next_output;
+    while (next_output < outputs.size() && outputs[next_output].after == pc) {
+      ++next_output;
+    }
+    if (next_output > begin) sink(begin, next_output);
   }
   return Status::OK();
+}
+
+void NoSink(size_t, size_t) {}
+
+/// Loads span column `ins.slot` in place: the register views the
+/// batch's lanes and null bitmap, which outlive the evaluation.
+auto SpanLoader(const ColumnSpanBatch& in, const std::vector<int>& slot_to_col,
+                size_t n) {
+  return [&in, &slot_to_col, n](const Instr& ins, ExprVM::Reg* dst) {
+    const int col = slot_to_col[ins.slot];
+    dst->d = in.doubles[col];
+    dst->i = in.ints[col];
+    const uint64_t* nb = in.null_bits[col];
+    dst->nulls = nb;
+    dst->has_nulls = nb != nullptr && AnyBitSet(nb, NullBitmapWords(n));
+  };
 }
 
 }  // namespace
@@ -454,56 +484,49 @@ Status ExprVM::EvalRows(const CompiledExpr& prog, const storage::Row* rows,
                         size_t n) {
   return RunProgram(prog, n, &regs_, &call_args_, ctx_,
                     [&](const Instr& ins, Reg* dst) {
+    Prep(*dst, ins.type, n);
     const size_t slot = ins.slot;
     if (ins.type == DataType::kDouble) {
       for (size_t r = 0; r < n; ++r) {
         const Datum& v = rows[r][slot];
         if (v.is_null()) {
-          dst->d[r] = 0.0;
-          NullBitSet(dst->nulls.data(), r);
+          dst->own_d[r] = 0.0;
+          NullBitSet(dst->own_nulls.data(), r);
           dst->has_nulls = true;
         } else {
-          dst->d[r] = v.AsDouble();
+          dst->own_d[r] = v.AsDouble();
         }
       }
     } else {
       for (size_t r = 0; r < n; ++r) {
         const Datum& v = rows[r][slot];
         if (v.is_null()) {
-          dst->i[r] = 0;
-          NullBitSet(dst->nulls.data(), r);
+          dst->own_i[r] = 0;
+          NullBitSet(dst->own_nulls.data(), r);
           dst->has_nulls = true;
         } else {
-          dst->i[r] = v.int_value();
+          dst->own_i[r] = v.int_value();
         }
       }
     }
-  });
+  }, NoSink);
 }
 
 Status ExprVM::EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
                          const std::vector<int>& slot_to_col, size_t n) {
   return RunProgram(prog, n, &regs_, &call_args_, ctx_,
-                    [&](const Instr& ins, Reg* dst) {
-    const int col = slot_to_col[ins.slot];
-    if (ins.type == DataType::kDouble) {
-      const double* src = in.doubles[col];
-      std::memcpy(dst->d.data(), src, n * sizeof(double));
-    } else {
-      const int64_t* src = in.ints[col];
-      std::memcpy(dst->i.data(), src, n * sizeof(int64_t));
-    }
-    const uint64_t* nb = in.null_bits[col];
-    if (nb != nullptr) {
-      std::memcpy(dst->nulls.data(), nb,
-                  NullBitmapWords(n) * sizeof(uint64_t));
-      dst->has_nulls = AnyBitSet(dst->nulls);
-    }
-  });
+                    SpanLoader(in, slot_to_col, n), NoSink);
+}
+
+Status ExprVM::EvalOutputs(const CompiledExpr& prog, const ColumnSpanBatch& in,
+                           const std::vector<int>& slot_to_col, size_t n,
+                           const std::function<void(size_t, size_t)>& sink) {
+  return RunProgram(prog, n, &regs_, &call_args_, ctx_,
+                    SpanLoader(in, slot_to_col, n), sink);
 }
 
 Datum BoxRegValue(const ExprVM::Reg& reg, DataType type, size_t r) {
-  if (reg.has_nulls && NullBitGet(reg.nulls.data(), r)) {
+  if (reg.has_nulls && NullBitGet(reg.nulls, r)) {
     return Datum::Null(type);
   }
   return type == DataType::kDouble ? Datum::Double(reg.d[r])
@@ -519,14 +542,17 @@ void ExprVM::BoxResult(const CompiledExpr& prog, size_t n,
 
 void ExprVM::CopyResult(const CompiledExpr& prog, size_t n, Reg* out) const {
   const Reg& reg = regs_[prog.result_reg()];
+  Prep(*out, prog.result_type(), n);
   if (prog.result_type() == DataType::kDouble) {
-    out->d.assign(reg.d.begin(), reg.d.begin() + n);
+    std::copy(reg.d, reg.d + n, out->own_d.begin());
   } else {
-    out->i.assign(reg.i.begin(), reg.i.begin() + n);
+    std::copy(reg.i, reg.i + n, out->own_i.begin());
   }
-  out->nulls.assign(reg.nulls.begin(),
-                    reg.nulls.begin() + NullBitmapWords(n));
-  out->has_nulls = reg.has_nulls;
+  if (reg.has_nulls) {
+    std::copy(reg.nulls, reg.nulls + NullBitmapWords(n),
+              out->own_nulls.begin());
+    out->has_nulls = true;
+  }
 }
 
 void ExprVM::AndResultIntoKeep(const CompiledExpr& prog, size_t n,
@@ -534,7 +560,7 @@ void ExprVM::AndResultIntoKeep(const CompiledExpr& prog, size_t n,
   const Reg& reg = regs_[prog.result_reg()];
   const bool is_double = prog.result_type() == DataType::kDouble;
   for (size_t r = 0; r < n; ++r) {
-    if (reg.has_nulls && NullBitGet(reg.nulls.data(), r)) {
+    if (reg.has_nulls && NullBitGet(reg.nulls, r)) {
       keep[r] = 0;
       continue;
     }
@@ -582,12 +608,20 @@ BytecodeBuilder::ValueId BytecodeBuilder::LoadColumn(size_t slot,
                                                      DataType type) {
   if (type == DataType::kVarchar) return kInvalidValue;
   if (slot > UINT32_MAX) return kInvalidValue;
+  if (slot < loads_.size() && loads_[slot] != kInvalidValue) {
+    return loads_[slot];
+  }
   Instr ins;
   ins.op = OpCode::kLoadCol;
   ins.type = type;
   ins.slot = static_cast<uint32_t>(slot);
-  slots_.push_back(slot);
-  return Emit(ins, type);
+  const ValueId v = Emit(ins, type);
+  if (Valid(v)) {
+    slots_.push_back(slot);
+    if (loads_.size() <= slot) loads_.resize(slot + 1, kInvalidValue);
+    loads_[slot] = v;
+  }
+  return v;
 }
 
 BytecodeBuilder::ValueId BytecodeBuilder::Emit(Instr instr, DataType type) {
@@ -662,8 +696,11 @@ BytecodeBuilder::ValueId BytecodeBuilder::EmitOrFold(
     instr.type = type;
     tmp.instrs_.push_back(instr);
     tmp.num_regs_ = k + 1;
-    tmp.result_reg_ = instr.dst;
-    tmp.result_type_ = type;
+    ProgramOutput result;
+    result.reg = instr.dst;
+    result.type = type;
+    result.after = static_cast<uint32_t>(k);
+    tmp.outputs_.push_back(result);
     // Builtin opcodes are total, so the fold cannot fail.
     ExprVM vm;
     if (!vm.EvalRows(tmp, nullptr, 1).ok()) return kInvalidValue;
@@ -922,9 +959,9 @@ void AppendBytes(std::string* key, const void* p, size_t size) {
 
 std::string SerializeProgram(const std::vector<Instr>& instrs,
                              const std::vector<UdfCall>& calls,
-                             uint16_t result_reg, DataType result_type) {
+                             const std::vector<ProgramOutput>& outputs) {
   std::string key;
-  key.reserve(instrs.size() * 32 + 8);
+  key.reserve(instrs.size() * 32 + outputs.size() * 16);
   for (const Instr& ins : instrs) {
     key.push_back(static_cast<char>(ins.op));
     key.push_back(static_cast<char>(ins.type));
@@ -946,27 +983,187 @@ std::string SerializeProgram(const std::vector<Instr>& instrs,
     AppendBytes(&key, call.args.data(), argc * sizeof(uint16_t));
     for (const DataType t : call.arg_types) key.push_back(static_cast<char>(t));
   }
-  AppendBytes(&key, &result_reg, sizeof(result_reg));
-  key.push_back(static_cast<char>(result_type));
+  for (const ProgramOutput& out : outputs) {
+    AppendBytes(&key, &out.reg, sizeof(out.reg));
+    AppendBytes(&key, &out.factor, sizeof(out.factor));
+    key.push_back(static_cast<char>(out.product));
+    key.push_back(static_cast<char>(out.type));
+    AppendBytes(&key, &out.root, sizeof(out.root));
+    AppendBytes(&key, &out.after, sizeof(out.after));
+  }
   return key;
 }
+
+/// Calls `fn` on each register `ins` reads: its operands a, b, c in
+/// that order, or its call site's arguments.
+template <typename Fn>
+void ForEachOperand(Instr& ins, std::vector<UdfCall>& calls, const Fn& fn) {
+  switch (ins.op) {
+    case OpCode::kLoadCol:
+    case OpCode::kLoadConst:
+      return;
+    case OpCode::kCallUdf:
+      for (uint16_t& r : calls[ins.slot].args) fn(r);
+      return;
+    case OpCode::kCastDouble:
+    case OpCode::kTruthD:
+    case OpCode::kTruthI:
+    case OpCode::kNegI:
+    case OpCode::kNegD:
+    case OpCode::kNot:
+    case OpCode::kIsNull:
+    case OpCode::kIsNotNull:
+    case OpCode::kSqrt:
+    case OpCode::kAbs:
+    case OpCode::kExp:
+    case OpCode::kLn:
+    case OpCode::kFloor:
+    case OpCode::kCeil:
+    case OpCode::kRound:
+      fn(ins.a);
+      return;
+    case OpCode::kSelect:
+      fn(ins.a);
+      fn(ins.b);
+      fn(ins.c);
+      return;
+    default:
+      fn(ins.a);
+      fn(ins.b);
+      return;
+  }
+}
+
+constexpr uint32_t kDropped = UINT32_MAX;
 
 }  // namespace
 
 std::shared_ptr<CompiledExpr> BytecodeBuilder::Finish(ValueId root) {
-  if (!Valid(root)) return nullptr;
-  const uint16_t result_reg = Reg(root);
+  return Seal({root}, /*streamed=*/false);
+}
+
+std::shared_ptr<CompiledExpr> BytecodeBuilder::FinishOutputs(
+    const std::vector<ValueId>& roots) {
+  if (roots.empty()) return nullptr;
+  return Seal(roots, /*streamed=*/true);
+}
+
+std::shared_ptr<CompiledExpr> BytecodeBuilder::Seal(
+    const std::vector<ValueId>& roots, bool streamed) {
+  std::vector<ProgramOutput> outputs(roots.size());
+  for (size_t o = 0; o < roots.size(); ++o) {
+    if (!Valid(roots[o])) return nullptr;
+    outputs[o].root = static_cast<uint32_t>(o);
+    outputs[o].type = TypeOf(roots[o]);
+    outputs[o].reg = Reg(roots[o]);  // materializes constant roots
+  }
+  // Builder registers are SSA: instruction k defines register k.
+  // `pos[k]` counts k's readers, then holds k's position in the sealed
+  // program (kDropped for a fused product).
+  const size_t count = instrs_.size();
+  std::vector<uint32_t> pos(count, 0);
+  for (Instr& ins : instrs_) {
+    ForEachOperand(ins, calls_, [&](uint16_t r) { ++pos[r]; });
+  }
+  for (const ProgramOutput& out : outputs) ++pos[out.reg];
+
+  // A streamed root kMulD read by nothing else is fused into its
+  // consumer: the output names the factors and the instruction goes.
+  for (ProgramOutput& out : outputs) {
+    const Instr& def = instrs_[out.reg];
+    if (streamed && def.op == OpCode::kMulD && pos[out.reg] == 1) {
+      pos[out.reg] = kDropped;
+      out.reg = def.a;
+      out.factor = def.b;
+      out.product = true;
+    }
+  }
+  size_t kept = 0;
+  for (size_t k = 0; k < count; ++k) {
+    if (pos[k] == kDropped) continue;
+    pos[k] = static_cast<uint32_t>(kept);
+    instrs_[kept++] = instrs_[k];
+  }
+  instrs_.resize(kept);
+
+  // Liveness: a value dies after its last reader, which for an output
+  // is the point the sink consumes it — right after the value is
+  // complete when streamed, the program's end otherwise.
+  std::vector<uint32_t> last_use(count, 0);
+  for (size_t k = 0; k < count; ++k) last_use[k] = pos[k];
+  for (size_t j = 0; j < kept; ++j) {
+    ForEachOperand(instrs_[j], calls_, [&](uint16_t r) {
+      last_use[r] = std::max(last_use[r], static_cast<uint32_t>(j));
+    });
+  }
+  for (ProgramOutput& out : outputs) {
+    out.after = streamed ? pos[out.reg] : static_cast<uint32_t>(kept - 1);
+    if (out.product) out.after = std::max(out.after, pos[out.factor]);
+    last_use[out.reg] = std::max(last_use[out.reg], out.after);
+    if (out.product) {
+      last_use[out.factor] = std::max(last_use[out.factor], out.after);
+    }
+  }
+  std::sort(outputs.begin(), outputs.end(),
+            [](const ProgramOutput& a, const ProgramOutput& b) {
+              return a.after != b.after ? a.after < b.after : a.root < b.root;
+            });
+
+  // Linear-scan allocation: each instruction takes a free register for
+  // its destination before it releases the values whose last reader it
+  // is (its operands, the outputs it completes, its own value when
+  // nothing reads it), so a destination never aliases an operand.
+  std::vector<uint16_t> phys(count, 0);
+  std::vector<uint16_t> free_regs;
+  size_t num_regs = 0;
+  auto release = [&](uint16_t v, uint32_t j) {
+    if (last_use[v] != j) return;
+    last_use[v] = kDropped;  // an operand read twice is released once
+    free_regs.push_back(phys[v]);
+  };
+  size_t next_output = 0;
+  for (size_t k = 0, j = 0; j < kept; ++k) {
+    if (pos[k] != j) continue;  // fused away
+    Instr& ins = instrs_[j];
+    uint16_t reg = 0;
+    if (free_regs.empty()) {
+      reg = static_cast<uint16_t>(num_regs++);
+    } else {
+      reg = free_regs.back();
+      free_regs.pop_back();
+    }
+    phys[k] = reg;
+    ins.dst = reg;
+    const uint32_t at = static_cast<uint32_t>(j);
+    ForEachOperand(ins, calls_, [&](uint16_t& r) {
+      const uint16_t v = r;
+      r = phys[v];
+      release(v, at);
+    });
+    for (; next_output < outputs.size() && outputs[next_output].after == at;
+         ++next_output) {
+      release(outputs[next_output].reg, at);
+      if (outputs[next_output].product) {
+        release(outputs[next_output].factor, at);
+      }
+    }
+    release(static_cast<uint16_t>(k), at);
+    ++j;
+  }
+  for (ProgramOutput& out : outputs) {
+    out.reg = phys[out.reg];
+    if (out.product) out.factor = phys[out.factor];
+  }
+
   auto prog = std::make_shared<CompiledExpr>();
   prog->instrs_ = std::move(instrs_);
-  prog->num_regs_ = num_regs_;
-  prog->result_reg_ = result_reg;
-  prog->result_type_ = TypeOf(root);
+  prog->num_regs_ = num_regs;
+  prog->outputs_ = std::move(outputs);
   std::sort(slots_.begin(), slots_.end());
   slots_.erase(std::unique(slots_.begin(), slots_.end()), slots_.end());
   prog->slots_ = std::move(slots_);
   prog->calls_ = std::move(calls_);
-  prog->key_ = SerializeProgram(prog->instrs_, prog->calls_, result_reg,
-                                prog->result_type_);
+  prog->key_ = SerializeProgram(prog->instrs_, prog->calls_, prog->outputs_);
   return prog;
 }
 
@@ -996,7 +1193,12 @@ size_t BytecodeCache::size() const {
   return cache_.size();
 }
 
-CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache) {
+namespace {
+
+/// Emits every expression into one builder and seals it: one result
+/// when `streamed` is false, one output per expression otherwise.
+CompiledExprPtr Compile(const std::vector<const BoundExpr*>& exprs,
+                        bool streamed, BytecodeCache* cache) {
 #if defined(NLQ_FAILPOINTS)
   // Armed `expr_compile` forces the interpreted fallback everywhere.
   // Guarded by the build flag (not just Check) so Release binaries
@@ -1004,13 +1206,29 @@ CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache) {
   if (!failpoint::Check("expr_compile").ok()) return nullptr;
 #endif
   BytecodeBuilder builder;
-  const int root = expr.EmitBytecode(&builder);
-  if (root < 0) return nullptr;
-  std::shared_ptr<CompiledExpr> prog = builder.Finish(root);
+  std::vector<BytecodeBuilder::ValueId> roots;
+  for (const BoundExpr* expr : exprs) {
+    const int root = expr->EmitBytecode(&builder);
+    if (root < 0) return nullptr;
+    roots.push_back(root);
+  }
+  std::shared_ptr<CompiledExpr> prog =
+      streamed ? builder.FinishOutputs(roots) : builder.Finish(roots[0]);
   if (prog == nullptr) return nullptr;
   if (cache != nullptr) return cache->Intern(std::move(prog));
   MetricsRegistry::Global().counter("bytecode.compiles").Increment();
   return prog;
+}
+
+}  // namespace
+
+CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache) {
+  return Compile({&expr}, /*streamed=*/false, cache);
+}
+
+CompiledExprPtr CompileOutputs(const std::vector<const BoundExpr*>& exprs,
+                               BytecodeCache* cache) {
+  return Compile(exprs, /*streamed=*/true, cache);
 }
 
 }  // namespace nlq::engine::exec

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -30,10 +31,14 @@ using nlq::engine::BoundExpr;
 /// A compiled program is a flat instruction array evaluated batch at a
 /// time: every instruction reads whole operand registers (one value
 /// lane of `n` doubles or int64s plus a null bitmap) and writes one
-/// destination register. NULL semantics are "compute everywhere, mask
-/// by bitmap": null lanes always hold the defined value 0/0.0, ops
-/// propagate bitmaps (union for strict ops, the SQL three-valued rules
-/// for AND/OR), and consumers skip rows whose result bit is set — the
+/// destination register. Registers are allocated by liveness when the
+/// program is sealed: a register is reused once its last reader has
+/// run, so the register file holds the values live at one time, and an
+/// instruction's destination is never one of its own operands. NULL
+/// semantics are "compute everywhere, mask by bitmap": null lanes
+/// always hold the defined value 0/0.0, ops propagate bitmaps (union
+/// for strict ops, the SQL three-valued rules for AND/OR), and
+/// consumers skip rows whose result bit is set — the
 /// same skip-row rule the interpreted Datum path implements with
 /// is_null() checks. Every builtin opcode is total (division by zero,
 /// sqrt of a negative, ln of a non-positive all yield NULL, exactly
@@ -103,15 +108,37 @@ struct Instr {
   int64_t const_i = 0;
 };
 
+/// One output of a program. A single-result program (Finish) has one,
+/// its result register. A multi-output program (FinishOutputs) has one
+/// per root, handed to ExprVM::EvalOutputs' sink right after the
+/// instruction that completes it, so its registers can be reused once
+/// it has been consumed. A root computed by a kMulD that nothing else
+/// reads is not executed: the output names its two factors
+/// (`product`), and the consumer multiplies them lane by lane, the
+/// same IEEE product the instruction would have stored.
+struct ProgramOutput {
+  uint16_t reg = 0;     // the value, or the left factor when `product`
+  uint16_t factor = 0;  // the right factor when `product`
+  bool product = false;
+  storage::DataType type = storage::DataType::kDouble;
+  uint32_t root = 0;   // position in FinishOutputs' `roots`
+  uint32_t after = 0;  // ready once instruction `after` has run
+};
+
 /// An immutable compiled program. Shared (via the cache) between
 /// plans and streams; all evaluation state lives in ExprVM.
 class CompiledExpr {
  public:
   const std::vector<Instr>& instructions() const { return instrs_; }
   size_t num_instructions() const { return instrs_.size(); }
+  /// Registers after liveness allocation: the most values live at
+  /// once, not the number of instructions or outputs.
   size_t num_regs() const { return num_regs_; }
-  uint16_t result_reg() const { return result_reg_; }
-  storage::DataType result_type() const { return result_type_; }
+  uint16_t result_reg() const { return outputs_[0].reg; }
+  storage::DataType result_type() const { return outputs_[0].type; }
+
+  /// Outputs in evaluation order (nondecreasing `after`).
+  const std::vector<ProgramOutput>& outputs() const { return outputs_; }
 
   /// Input slots the program reads, sorted unique — the planner
   /// projects exactly these into the columnar scan.
@@ -128,8 +155,7 @@ class CompiledExpr {
   friend class BytecodeBuilder;
   std::vector<Instr> instrs_;
   size_t num_regs_ = 0;
-  uint16_t result_reg_ = 0;
-  storage::DataType result_type_ = storage::DataType::kDouble;
+  std::vector<ProgramOutput> outputs_;
   std::vector<size_t> slots_;
   std::vector<UdfCall> calls_;
   std::string key_;
@@ -161,7 +187,9 @@ class BytecodeBuilder {
 
   /// Numeric or NULL literal; VARCHAR returns kInvalidValue.
   ValueId Constant(const storage::Datum& v);
-  /// Input slot of numeric type; VARCHAR returns kInvalidValue.
+  /// Input slot of numeric type; VARCHAR returns kInvalidValue. Each
+  /// slot is loaded once per program: a later load of the same slot
+  /// returns the first one's value.
   ValueId LoadColumn(size_t slot, storage::DataType type);
   ValueId Unary(UnaryOp op, ValueId v);
   ValueId Binary(BinaryOp op, ValueId l, ValueId r);
@@ -188,12 +216,21 @@ class BytecodeBuilder {
   /// run the call only on some rows (see OpCode).
   ValueId CallUdf(const udf::ScalarUdf* udf, const std::vector<ValueId>& args);
 
-  /// Seals the program with `root` as its result. Returns nullptr if
-  /// root is invalid.
+  /// Seals the program with `root` as its result, which stays in its
+  /// register after evaluation. Returns nullptr if root is invalid.
   std::shared_ptr<CompiledExpr> Finish(ValueId root);
+
+  /// Seals a multi-output program, one output per root (a root may
+  /// repeat). Each output is live only until EvalOutputs hands it to
+  /// the sink, and a root kMulD read by nothing else becomes a
+  /// `product` output. Returns nullptr if any root is invalid.
+  std::shared_ptr<CompiledExpr> FinishOutputs(
+      const std::vector<ValueId>& roots);
 
  private:
   struct Value;
+  std::shared_ptr<CompiledExpr> Seal(const std::vector<ValueId>& roots,
+                                     bool streamed);
   ValueId Emit(Instr instr, storage::DataType type);
   ValueId EmitOrFold(Instr instr, storage::DataType type,
                      std::initializer_list<ValueId> operands);
@@ -211,6 +248,7 @@ class BytecodeBuilder {
   std::vector<Instr> instrs_;
   size_t num_regs_ = 0;
   std::vector<size_t> slots_;
+  std::vector<ValueId> loads_;  // slot -> its one load, or kInvalidValue
   std::vector<UdfCall> calls_;
 };
 
@@ -225,12 +263,17 @@ class ExprVM {
   explicit ExprVM(const QueryContext* ctx = nullptr) : ctx_(ctx) {}
 
   /// One register's lanes. Exactly one of d/i is meaningful, by the
-  /// instruction's type; null lanes hold 0/0.0.
+  /// instruction's type; `nulls` is meaningful only when has_nulls. The
+  /// lanes point into the register's own buffers, or straight into an
+  /// input span: a kLoadCol over spans reads the column in place.
   struct Reg {
-    std::vector<double> d;
-    std::vector<int64_t> i;
-    std::vector<uint64_t> nulls;
+    const double* d = nullptr;
+    const int64_t* i = nullptr;
+    const uint64_t* nulls = nullptr;
     bool has_nulls = false;
+    std::vector<double> own_d;
+    std::vector<int64_t> own_i;
+    std::vector<uint64_t> own_nulls;
   };
 
   /// Evaluates `prog` over `n` materialized rows (gathering by slot).
@@ -244,6 +287,16 @@ class ExprVM {
   /// EvalRows.
   Status EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
                    const std::vector<int>& slot_to_col, size_t n);
+
+  /// Evaluates a FinishOutputs program over column spans. After each
+  /// instruction that completes outputs, calls `sink(begin, end)` with
+  /// their range in prog.outputs(); their registers (reg()) hold the
+  /// values only during that call. Fails like EvalRows.
+  Status EvalOutputs(const CompiledExpr& prog, const ColumnSpanBatch& in,
+                     const std::vector<int>& slot_to_col, size_t n,
+                     const std::function<void(size_t, size_t)>& sink);
+
+  const Reg& reg(uint16_t r) const { return regs_[r]; }
 
   /// The result register after an Eval call for `prog`.
   const Reg& result(const CompiledExpr& prog) const {
@@ -297,6 +350,13 @@ class BytecodeCache {
 /// aggregate refs, mixed-type COALESCE/CASE) or when the
 /// `expr_compile` failpoint is armed.
 CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache);
+
+/// Compiles `exprs` into one multi-output program (FinishOutputs), one
+/// output per expression in order, interning through `cache` when
+/// given. Returns nullptr when any expression does not compile (or
+/// under the `expr_compile` failpoint), like CompileExpr.
+CompiledExprPtr CompileOutputs(const std::vector<const BoundExpr*>& exprs,
+                               BytecodeCache* cache);
 
 }  // namespace nlq::engine::exec
 

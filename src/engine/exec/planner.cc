@@ -315,6 +315,7 @@ struct VectorPipeline {
   // Aggregate form.
   std::vector<CompiledExprPtr> key_progs;
   std::vector<VectorAggSpec> spec_args;
+  CompiledExprPtr builtin_prog;  // every SQL builtin's argument; or null
   // Projection form.
   std::vector<CompiledExprPtr> proj_progs;
 };
@@ -379,7 +380,7 @@ bool SplitWhereForPipeline(const FromInputs& inputs,
 }
 
 /// Seals the fragment: collects every program's referenced slots (and
-/// those of `agg`'s column arguments read off the spans, which have no
+/// those of `agg`'s `on_spans` column arguments, which have no
 /// program) into the scan projection and builds the slot -> span-column
 /// map. A fragment that reads no driver column at all (pure COUNT(*),
 /// constant projections) stays on the row path, which decodes nothing
@@ -395,6 +396,7 @@ bool FinishPipeline(const FromInputs& inputs, const BoundAggregation* agg,
   };
   collect(p->where_prog);
   for (const auto& prog : p->key_progs) collect(prog);
+  collect(p->builtin_prog);
   for (size_t i = 0; i < p->spec_args.size(); ++i) {
     const std::vector<VectorAggArg>& args = p->spec_args[i].args;
     for (size_t a = 0; a < args.size(); ++a) {
@@ -456,13 +458,16 @@ bool SpanColumnSlot(const BoundExpr& e, size_t* slot) {
 
 /// Vector-pipeline plan of an aggregate: GROUP BY keys and aggregate
 /// arguments compile to bytecode and run over span batches (aggregate
-/// UDFs keep leading literal arguments as constants). Bare column
-/// arguments record their span column, and a zero-key UDF call whose
-/// non-constant arguments are all bare columns is marked `on_spans`
-/// (AccumulateSpans over the scan's spans). An argument is compiled
-/// only when a ROW loop evaluates it: builtins and `on_spans` calls
-/// read bare columns off the spans. HAVING and the SELECT projections
-/// operate per group on (keys, aggs) rows and stay interpreted.
+/// UDFs keep leading literal arguments as constants). Every SQL
+/// builtin's argument is one output of a single program, compiled and
+/// interned once per aggregate, so each column the builtins read is
+/// loaded once per batch. Bare column arguments record their span
+/// column, and a zero-key UDF call whose non-constant arguments are
+/// all bare columns is marked `on_spans` (AccumulateSpans over the
+/// scan's spans, no program); any other UDF argument gets its own
+/// program, which its ROW loop evaluates. HAVING and the SELECT
+/// projections operate per group on (keys, aggs) rows and stay
+/// interpreted.
 VectorPipeline TryVectorAggregate(const FromInputs& inputs,
                                   const BoundAggregation& agg,
                                   const udf::UdfRegistry* registry,
@@ -477,16 +482,23 @@ VectorPipeline TryVectorAggregate(const FromInputs& inputs,
     if (prog == nullptr) return VectorPipeline{};
     p.key_progs.push_back(std::move(prog));
   }
+  std::vector<const BoundExpr*> builtin_args;
   for (const AggregateSpec& spec : agg.specs) {
-    const bool udf = spec.kind == AggregateSpec::Kind::kUdf;
-    if (!udf && spec.kind != AggregateSpec::Kind::kCountStar &&
-        spec.args.size() != 1) {
-      return VectorPipeline{};
-    }
     VectorAggSpec vs;
+    if (spec.kind != AggregateSpec::Kind::kUdf) {
+      if (spec.kind != AggregateSpec::Kind::kCountStar) {
+        if (spec.args.size() != 1) return VectorPipeline{};
+        VectorAggArg arg;
+        arg.output = static_cast<int>(builtin_args.size());
+        builtin_args.push_back(spec.args[0].get());
+        vs.args.push_back(std::move(arg));
+      }
+      p.spec_args.push_back(std::move(vs));
+      continue;
+    }
     size_t a = 0;
     storage::Datum lit;
-    while (udf && a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit)) {
+    while (a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit)) {
       VectorAggArg arg;
       arg.is_constant = true;
       arg.constant = std::move(lit);
@@ -498,17 +510,21 @@ VectorPipeline TryVectorAggregate(const FromInputs& inputs,
     for (size_t b = a; b < spec.args.size(); ++b) {
       all_cols &= SpanColumnSlot(*spec.args[b], &slot);
     }
-    vs.on_spans = agg.key_exprs.empty() && udf && spec.udaf != nullptr &&
+    vs.on_spans = agg.key_exprs.empty() && spec.udaf != nullptr &&
                   spec.udaf->SupportsColumnarSpans() && all_cols;
     for (; a < spec.args.size(); ++a) {
       VectorAggArg arg;
-      if (!vs.on_spans && (udf || !SpanColumnSlot(*spec.args[a], &slot))) {
+      if (!vs.on_spans) {
         arg.prog = CompileExpr(*spec.args[a], cache);
         if (arg.prog == nullptr) return VectorPipeline{};
       }
       vs.args.push_back(std::move(arg));
     }
     p.spec_args.push_back(std::move(vs));
+  }
+  if (!builtin_args.empty()) {
+    p.builtin_prog = CompileOutputs(builtin_args, cache);
+    if (p.builtin_prog == nullptr) return VectorPipeline{};
   }
   if (!FinishPipeline(inputs, &agg, &p)) return VectorPipeline{};
   for (size_t i = 0; i < agg.specs.size(); ++i) {
@@ -735,7 +751,8 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       PlanNodePtr chain = vector_input(&vp, enable_column_cache_, &scan_ptr);
       auto vagg = std::make_unique<VectorHashAggregateNode>(
           std::move(chain), scan_ptr, std::move(agg), std::move(vp.key_progs),
-          std::move(vp.spec_args), std::move(vp.slot_to_col), has_having,
+          std::move(vp.spec_args), std::move(vp.builtin_prog),
+          std::move(vp.slot_to_col), has_having,
           has_having ? select.having->ToString() : std::string(),
           select.items.size(), pool_, ctx_);
       if (view_eligible) {

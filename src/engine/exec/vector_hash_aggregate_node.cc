@@ -41,6 +41,7 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
                               const BoundAggregation& agg,
                               const std::vector<CompiledExprPtr>& key_progs,
                               const std::vector<VectorAggSpec>& spec_args,
+                              const CompiledExpr* builtin_prog,
                               const std::vector<int>& slot_to_col,
                               const QueryContext* query_ctx,
                               GroupMap* groups) {
@@ -55,7 +56,8 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
   NLQ_ASSIGN_OR_RETURN(ColumnStreamPtr source, child.OpenColumnStream(stream));
 
   ColumnSpanBatch batch;
-  SpanAccumulator acc(agg.specs, spec_args, slot_to_col, query_ctx);
+  SpanAccumulator acc(agg.specs, spec_args, builtin_prog, slot_to_col,
+                      query_ctx);
   ExprVM& vm = *acc.vm();
   std::vector<std::vector<Datum>> key_cols(num_keys);
   Row key(num_keys);
@@ -99,14 +101,15 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
 VectorHashAggregateNode::VectorHashAggregateNode(
     PlanNodePtr child, const ColumnarScanNode* scan, BoundAggregation agg,
     std::vector<CompiledExprPtr> key_progs,
-    std::vector<VectorAggSpec> spec_args, std::vector<int> slot_to_col,
-    bool has_having, std::string having_text, size_t num_output,
-    ThreadPool* pool, const QueryContext* ctx)
+    std::vector<VectorAggSpec> spec_args, CompiledExprPtr builtin_prog,
+    std::vector<int> slot_to_col, bool has_having, std::string having_text,
+    size_t num_output, ThreadPool* pool, const QueryContext* ctx)
     : PlanNode(std::move(child)),
       scan_(scan),
       agg_(std::move(agg)),
       key_progs_(std::move(key_progs)),
       spec_args_(std::move(spec_args)),
+      builtin_prog_(std::move(builtin_prog)),
       slot_to_col_(std::move(slot_to_col)),
       has_having_(has_having),
       having_text_(std::move(having_text)),
@@ -130,7 +133,8 @@ std::string VectorHashAggregateNode::annotation() const {
   out += StringPrintf("; merge: %zu partial state(s) per group, %zu worker(s)",
                       child_->num_streams(),
                       pool_ != nullptr ? pool_->num_workers() : 1);
-  size_t ops = 0;
+  size_t ops =
+      builtin_prog_ != nullptr ? builtin_prog_->num_instructions() : 0;
   for (const CompiledExprPtr& prog : key_progs_) {
     ops += prog->num_instructions();
   }
@@ -179,7 +183,8 @@ StatusOr<std::vector<Row>> VectorHashAggregateNode::Compute() const {
   std::vector<GroupMap> partials(streams);
   auto drain_one = [&](size_t s) -> Status {
     return AccumulateColumnStream(*child_, s, agg_, key_progs_, spec_args_,
-                                  slot_to_col_, ctx_, &partials[s]);
+                                  builtin_prog_.get(), slot_to_col_, ctx_,
+                                  &partials[s]);
   };
   if (streams == 1 || pool_ == nullptr) {
     for (size_t s = 0; s < streams; ++s) NLQ_RETURN_IF_ERROR(drain_one(s));

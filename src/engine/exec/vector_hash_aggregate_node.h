@@ -19,15 +19,17 @@ namespace nlq::engine::exec {
 /// MERGE / FINALIZE protocol as HashAggregateNode (the shared state
 /// machinery in aggregate_state.h), but the ROW phase evaluates GROUP
 /// BY keys and aggregate arguments through compiled bytecode over span
-/// batches instead of interpreted Datum trees.
+/// batches instead of interpreted Datum trees. All SQL builtin
+/// arguments are the outputs of one program (`builtin_prog`), run once
+/// per batch and folded by SpanAccumulator's typed loops.
 ///
 /// A global aggregate is the zero-key group: each stream seeds it when
 /// it opens (so every morsel has a partial state and the merge folds
 /// all of them in morsel-index order), it resolves once per batch
-/// rather than per row, COUNT(*) adds the batch's row count, bare
-/// column arguments are read straight off the spans and `on_spans`
+/// rather than per row, COUNT(*) adds the batch's row count, each
+/// builtin state is loaded and stored once per batch, and `on_spans`
 /// aggregate UDF calls (the paper's n,L,Q builds) go through
-/// AggregateUdf::AccumulateSpans on those spans, zero-copy.
+/// AggregateUdf::AccumulateSpans on the scan's spans, zero-copy.
 ///
 /// Bound to the maintained-view registry (BindView), the node asks the
 /// registry to serve its zero-key group first — refreshed by only the
@@ -41,7 +43,8 @@ namespace nlq::engine::exec {
 /// iteration order), and (c) per (group, aggregate) accumulation
 /// visits rows in the same order — only the loop nesting (per-spec
 /// outer instead of per-row outer) differs, which is observationally
-/// identical because argument programs are pure.
+/// identical because argument programs are pure, and every product is
+/// rounded before it is added (no FMA contraction, DESIGN.md §11).
 class VectorHashAggregateNode : public PlanNode {
  public:
   /// `child` is the columnar chain (ColumnarScan, possibly under a
@@ -50,6 +53,7 @@ class VectorHashAggregateNode : public PlanNode {
                           BoundAggregation agg,
                           std::vector<CompiledExprPtr> key_progs,
                           std::vector<VectorAggSpec> spec_args,
+                          CompiledExprPtr builtin_prog,
                           std::vector<int> slot_to_col, bool has_having,
                           std::string having_text, size_t num_output,
                           ThreadPool* pool, const QueryContext* ctx = nullptr);
@@ -71,9 +75,10 @@ class VectorHashAggregateNode : public PlanNode {
   void set_view_note(std::string note) { view_note_ = std::move(note); }
 
   /// The maintained-view shape of this zero-key aggregate: its scan,
-  /// specs, span arguments and slot map.
+  /// specs, span arguments, builtin-argument program and slot map.
   ViewDescriptor view_descriptor() const {
-    return ViewDescriptor{scan_, &agg_.specs, &spec_args_, &slot_to_col_};
+    return ViewDescriptor{scan_, &agg_.specs, &spec_args_,
+                          builtin_prog_.get(), &slot_to_col_};
   }
 
   /// Serves this aggregate from `views`, which must outlive the node.
@@ -85,6 +90,7 @@ class VectorHashAggregateNode : public PlanNode {
   BoundAggregation agg_;
   std::vector<CompiledExprPtr> key_progs_;
   std::vector<VectorAggSpec> spec_args_;
+  CompiledExprPtr builtin_prog_;
   std::vector<int> slot_to_col_;
   bool has_having_;
   std::string having_text_;

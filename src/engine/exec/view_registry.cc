@@ -129,7 +129,7 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
     if (cur == wm) return Status::OK();
     const uint64_t mr = d.scan->morsel_rows();
     auto& plist = e->partials[p];
-    SpanAccumulator acc(*d.specs, *d.args, *d.slot_to_col, ctx);
+    SpanAccumulator acc(*d.specs, *d.args, d.builtins, *d.slot_to_col, ctx);
     ColumnSpanBatch batch;
     while (wm < cur) {
       // The morsel the watermark sits in: extend its partial from the

@@ -21,7 +21,8 @@ namespace nlq::engine::exec {
 /// VectorHashAggregateNode planned over `scan` holds it: the scan gives
 /// the table, projected column slots, pushed-down WHERE conjuncts and
 /// morsel grid; the node gives the aggregate specs, their span
-/// arguments and the slot -> span-column map. Nothing is owned; the
+/// arguments, the program of their SQL builtin arguments and the
+/// slot -> span-column map. Nothing is owned; the
 /// node and its scan outlive every call. Every argument is a leading
 /// constant or a bare column (`VectorAggArg::col`), and every
 /// aggregate UDF call is `on_spans`.
@@ -29,6 +30,7 @@ struct ViewDescriptor {
   const ColumnarScanNode* scan = nullptr;
   const std::vector<AggregateSpec>* specs = nullptr;
   const std::vector<VectorAggSpec>* args = nullptr;  // parallel to specs
+  const CompiledExpr* builtins = nullptr;  // SQL builtin arguments, or null
   const std::vector<int>* slot_to_col = nullptr;
 };
 

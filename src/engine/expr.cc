@@ -632,10 +632,12 @@ StatusOr<BoundExprPtr> Bind(const Expr& expr, const BindingScope& scope,
   // In aggregate-select mode, any subexpression textually equal to a
   // GROUP BY expression becomes a key reference.
   if (agg != nullptr) {
-    const std::string text = expr.ToString();
-    for (size_t i = 0; i < agg->group_by_text.size(); ++i) {
-      if (agg->group_by_text[i] == text) {
-        return BoundExprPtr(new KeyRefNode(i, agg->key_types[i]));
+    if (!agg->group_by_text.empty()) {
+      const std::string text = expr.ToString();
+      for (size_t i = 0; i < agg->group_by_text.size(); ++i) {
+        if (agg->group_by_text[i] == text) {
+          return BoundExprPtr(new KeyRefNode(i, agg->key_types[i]));
+        }
       }
     }
     if (IsAggregateCall(expr, registry)) {

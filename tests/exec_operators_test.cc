@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -88,12 +89,6 @@ class ExecOperatorsTest : public ::testing::TestWithParam<size_t> {
   std::unique_ptr<Database> db_;
   PartitionedTable* table_ = nullptr;
 };
-
-int64_t SumFirstColumn(const std::vector<Row>& rows) {
-  int64_t sum = 0;
-  for (const Row& row : rows) sum += row[0].int_value();
-  return sum;
-}
 
 TEST_P(ExecOperatorsTest, ScanProducesEveryRowInBoundedBatches) {
   const PlanNodePtr scan = Scan();
@@ -347,6 +342,123 @@ TEST_P(ExecOperatorsTest, ExecutePlanMaterializesRootStream) {
 
 INSTANTIATE_TEST_SUITE_P(BatchBoundaries, ExecOperatorsTest,
                          ::testing::Values(0, 1, 1023, 1024, 1025));
+
+// ---------------------------------------------------------------------------
+// SQL builtins through the aggregate's one multi-output program: every
+// builtin argument is an output of one bytecode program per
+// VectorHashAggregate, folded by typed loops (dense SUMs four chains at
+// a time). The forced interpreted row path is the oracle, bit for bit,
+// at row counts straddling one and two 1024-row batches.
+// ---------------------------------------------------------------------------
+
+/// Renders a result so "equal" means byte-identical (doubles by bit
+/// pattern, NULLs by type).
+std::string Signature(const ResultSet& result) {
+  std::string out;
+  for (const Row& row : result.rows()) {
+    for (const Datum& v : row) {
+      if (v.is_null()) {
+        out += "NULL,";
+      } else if (v.type() == storage::DataType::kDouble) {
+        uint64_t bits = 0;
+        const double d = v.double_value();
+        std::memcpy(&bits, &d, sizeof(bits));
+        out += "d" + std::to_string(bits) + ",";
+      } else {
+        out += "i" + std::to_string(v.int_value()) + ",";
+      }
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+class FusedBuiltinAggregateTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  /// T(i, j BIGINT; x, y, z DOUBLE) with `n` rows: NULLs in j, x and y
+  /// on different row patterns, none in z (its SUMs take the dense
+  /// four-chain loops); values that round when multiplied and summed.
+  std::unique_ptr<Database> MakeDatabase(size_t partitions) const {
+    auto db = nlq::testing::MakeTestDatabase(partitions, /*num_threads=*/2);
+    auto table = db->catalog().CreateTable(
+        "T", storage::Schema{{{"i", storage::DataType::kInt64},
+                              {"j", storage::DataType::kInt64},
+                              {"x", storage::DataType::kDouble},
+                              {"y", storage::DataType::kDouble},
+                              {"z", storage::DataType::kDouble}}});
+    EXPECT_TRUE(table.ok());
+    if (!table.ok()) return db;
+    for (size_t r = 0; r < GetParam(); ++r) {
+      const int64_t i = static_cast<int64_t>(r);
+      const Datum j = r % 3 == 0 ? Datum::Null(storage::DataType::kInt64)
+                                 : Datum::Int64(i * 7 % 11 - 5);
+      const Datum x =
+          r % 7 == 3 ? Datum::Null(storage::DataType::kDouble)
+                     : Datum::Double(static_cast<double>(r * 2654435761u %
+                                                         100003) /
+                                     997.0);
+      const Datum y = r % 5 == 1 ? Datum::Null(storage::DataType::kDouble)
+                                 : Datum::Double(0.1 * static_cast<double>(
+                                                           r % 29) - 1.3);
+      const Datum z = Datum::Double(static_cast<double>(r % 97) / 7.0 + 0.1);
+      EXPECT_TRUE((*table)->AppendRow({Datum::Int64(i), j, x, y, z}).ok());
+    }
+    return db;
+  }
+};
+
+TEST_P(FusedBuiltinAggregateTest, MatchesInterpretedBitForBit) {
+  // Mixed kinds; DOUBLE and BIGINT (kMulI) products, fused ones whose
+  // factors hold NULLs (avg(x * y) counts only rows where both are
+  // non-NULL; in i * y only the right factor has any) or are computed
+  // (y * j widens j); a duplicated argument
+  // (sum(x) twice, x also under count/min) and a constant one
+  // (sum(1.0)); a computed argument whose register is reused; dense
+  // SUMs of z, plain and fused, more than four per batch.
+  const std::string aggs =
+      "sum(x), avg(y), count(x), count(*), min(x), max(y), sum(x * y), "
+      "sum(i * j), avg(i * j), min(i * j), max(j), sum(x), sum(1.0), "
+      "count(j), max(x * y), sum(x * y + 1.0), sum(x * x), count(1.0), "
+      "avg(x * y), sum(y * j), count(x * y), avg(i * y), sum(z), "
+      "sum(z * z), avg(z * i), sum(z * 0.1), sum(z + 1.0), avg(z), "
+      "sum(z * z)";
+  const std::string global = "SELECT " + aggs + " FROM T";
+  const std::string grouped =
+      "SELECT i % 3, " + aggs + " FROM T GROUP BY i % 3 ORDER BY 1";
+  QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  for (const size_t partitions : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    auto db = MakeDatabase(partitions);
+    for (const std::string& sql : {global, grouped}) {
+      NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
+      EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos) << plan;
+      NLQ_ASSERT_OK_AND_ASSIGN(std::string row_plan,
+                               db->Explain(sql, interpreted));
+      EXPECT_EQ(row_plan.find("Vector"), std::string::npos) << row_plan;
+
+      NLQ_ASSERT_OK_AND_ASSIGN(ResultSet fused, db->Execute(sql));
+      NLQ_ASSERT_OK_AND_ASSIGN(ResultSet oracle,
+                               db->Execute(sql, interpreted));
+      EXPECT_EQ(Signature(fused), Signature(oracle)) << sql;
+    }
+    if (GetParam() == 0) {
+      // Empty input: one row, SUM and MIN over nothing are NULL and
+      // the COUNTs are 0, on both paths.
+      NLQ_ASSERT_OK_AND_ASSIGN(ResultSet empty, db->Execute(global));
+      ASSERT_EQ(empty.num_rows(), 1u);
+      EXPECT_TRUE(empty.At(0, 0).is_null());   // sum(x)
+      EXPECT_EQ(empty.At(0, 2).int_value(), 0);  // count(x)
+      EXPECT_EQ(empty.At(0, 3).int_value(), 0);  // count(*)
+      EXPECT_TRUE(empty.At(0, 4).is_null());   // min(x)
+      EXPECT_TRUE(empty.At(0, 12).is_null());  // sum(1.0)
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchBoundaries, FusedBuiltinAggregateTest,
+                         ::testing::Values(0, 1, 1023, 1024, 1025, 2047,
+                                           2048, 2049));
 
 TEST(ConstantInputNodeTest, EmitsRequestedEmptyRows) {
   for (const size_t rows : {size_t{0}, size_t{1}}) {
